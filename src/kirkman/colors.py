@@ -241,7 +241,7 @@ def render_diagram(design, layout=None, labels=True):
             f'r="{_f(radius * side)}" fill="none" stroke="#555555" stroke-width="1.5"/>'
         )
     elif layout == "cube":
-        corners = [p.value for p in design.points if p.value >> 3]
+        corners = [p.value for p in design.points if not p.in_plane]
         for a in corners:
             for axis in (0b0100, 0b0010, 0b0001):
                 b = a ^ axis

@@ -63,6 +63,12 @@ class Point:
     def bits(self):
         return format(self.value, f"0{self.width}b")
 
+    @property
+    def in_plane(self):
+        """On the Fano plane: every point of width 3 or less, and the 4-bit
+        points whose leading bit is zero."""
+        return not self.value >> 3
+
     def __str__(self):
         return f"({self.bits})"
 
@@ -247,7 +253,7 @@ def fano_subdesign(design):
     """Restriction of a size-4 design to its seven leading-bit-zero points."""
     if design.m != 4:
         raise DesignError(f"fano_subdesign needs m=4, got m={design.m}")
-    sub_points = tuple(Point(p.value, 3) for p in design.points if not p.value >> 3)
+    sub_points = tuple(Point(p.value, 3) for p in design.points if p.in_plane)
     assignment = {p: design.assignment[Point(p.value, 4)] for p in sub_points}
     blocks = enumerate_blocks(3)
     kinds = {blk: _classify([assignment[p] for p in blk.points]) for blk in blocks}
@@ -336,8 +342,8 @@ def _cube_corner_position(value):
 
 
 def _cube_placements(design):
-    corners = [p for p in design.points if p.value >> 3]
-    inner = [p for p in design.points if not p.value >> 3]
+    corners = [p for p in design.points if not p.in_plane]
+    inner = [p for p in design.points if p.in_plane]
     placements = [Placement(c, *_cube_corner_position(c.value), True) for c in corners]
     base = 0b1000
     for point in inner:

@@ -9,9 +9,11 @@ A matching gives every day a plane block through the point with the day's
 own bits, and the resolver completes each matched block into a spread so
 that the 35 blocks are used exactly once across the week.
 
-All searches are deterministic: days are processed in ascending label
-order and every tie is broken lexicographically, so repeated runs produce
-identical output.
+The matching, the spreads and the week are exact covers, all found by one
+search (Knuth's Algorithm X over bitmasks) that branches on the least
+uncovered item.  Days are tried in ascending label order and blocks and
+spreads in ascending block order, so the first cover is the
+lexicographically least one and repeated runs produce identical output.
 """
 
 from __future__ import annotations
@@ -108,12 +110,49 @@ class Resolution:
 
 def _plane_blocks(design):
     if design.m == 4:
-        return tuple(b for b in design.blocks if all(not p.value >> 3 for p in b.points))
+        return tuple(b for b in design.blocks if all(p.in_plane for p in b.points))
     return design.blocks
 
 
 def _day_point(design, day):
-    return Point(day.value, 4 if design.m == 4 else 3)
+    return Point(day.value, design.m)
+
+
+def _exact_covers(n_items, options):
+    """Yield every exact cover of the items 0 .. n_items-1, in search order.
+
+    Items are bit positions.  options[i] lists the (key, mask) pairs that
+    may cover item i, in the order to try them; each mask has the bits of
+    all the items its option covers.  Each cover is yielded as the tuple
+    of its options' keys.  The search always branches on the least
+    uncovered item, so covers come out ordered lexicographically by the
+    options' positions in these lists.
+    """
+    full = (1 << n_items) - 1
+    chosen = []
+
+    def search(covered):
+        if covered == full:
+            yield tuple(chosen)
+            return
+        item = (~covered & (covered + 1)).bit_length() - 1
+        for key, mask in options[item]:
+            if not mask & covered:
+                chosen.append(key)
+                yield from search(covered | mask)
+                chosen.pop()
+
+    return search(0)
+
+
+def _spread_covers(design):
+    """Every spread as an ascending tuple of block indices, in ascending order."""
+    options = [[] for _ in design.points]
+    for index, block in enumerate(design.blocks):
+        mask = sum(1 << (p.value - 1) for p in block.points)
+        for p in block.points:
+            options[p.value - 1].append((index, mask))
+    return _exact_covers(len(design.points), options)
 
 
 def match_days(design):
@@ -122,35 +161,22 @@ def match_days(design):
     Defined for size-4 designs (on their seven plane blocks) and size-3
     designs (on all seven blocks).  Each day must receive a block through
     the point carrying the day's own bits; days are filled in ascending
-    label order, trying candidate blocks in ascending block order, with
-    backtracking, so the first complete matching is the least one.
+    label order, trying candidate blocks in ascending block order, so the
+    first complete matching is the least one.
     """
     if design.m not in (3, 4):
         raise ResolutionError(f"day matching needs a size-3 or size-4 design, got m={design.m}")
     lines = _plane_blocks(design)
     days = all_days()
-    candidates = {day: tuple(l for l in lines if _day_point(design, day) in l) for day in days}
-    assignment = {}
-    used = set()
-
-    def place(i):
-        if i == len(days):
-            return True
-        day = days[i]
-        for line in candidates[day]:
-            if line in used:
-                continue
-            assignment[day] = line
-            used.add(line)
-            if place(i + 1):
-                return True
-            used.discard(line)
-            del assignment[day]
-        return False
-
-    if not place(0):
+    # items: the days, then the lines
+    options = [
+        [(line, 1 << d | 1 << (len(days) + i)) for i, line in enumerate(lines) if _day_point(design, day) in line]
+        for d, day in enumerate(days)
+    ] + [()] * len(lines)
+    cover = next(_exact_covers(len(options), options), None)
+    if cover is None:
         raise ResolutionError("no incidence-respecting day matching exists")
-    return {day: assignment[day] for day in days}
+    return dict(zip(days, cover))
 
 
 def _check_matching(design, matching):
@@ -173,10 +199,13 @@ def _check_matching(design, matching):
 def resolve(design, matching=None):
     """Deterministically complete a matching into a full resolution.
 
-    Every day's class is the matched plane block plus four corner blocks,
-    listed with the plane block first and the rest ordered by their plane
-    point.  Raises when the design is not resolvable-sized or the matching
-    admits no completion (which cannot happen for valid input).
+    The week is the least choice of seven block-disjoint spreads, day by
+    day the spread that holds the day's matched plane block.  Every day's
+    class is that plane block plus four corner blocks, listed with the
+    plane block first and the rest ordered by their plane point.  Raises
+    when the design is not resolvable-sized or the matching admits no
+    completion (which does not happen for any valid matching; the tests
+    resolve all 24 of the canonical design).
     """
     if design.m != 4:
         raise ResolutionError(
@@ -186,54 +215,24 @@ def resolve(design, matching=None):
         matching = match_days(design)
     _check_matching(design, matching)
 
-    plane_points = [p for p in design.points if not p.value >> 3]
-    by_mid = {p: [] for p in plane_points}
-    for block in design.blocks:
-        t0 = [p for p in block.points if not p.value >> 3]
-        if len(t0) == 1:
-            by_mid[t0[0]].append(block)
-
     days = all_days()
-    classes = {}
-    used = set()
-
-    def fill_day(di):
-        if di == len(days):
-            return True
-        day = days[di]
-        line = matching[day]
-        rest = [p for p in plane_points if p not in line]
-        chosen = []
-        covered = set()
-
-        def pick(pi):
-            if pi == len(rest):
-                classes[day] = ParallelClass((line, *chosen))
-                if fill_day(di + 1):
-                    return True
-                del classes[day]
-                return False
-            for block in by_mid[rest[pi]]:
-                if block in used:
-                    continue
-                corners = [p for p in block.points if p.value >> 3]
-                if corners[0] in covered or corners[1] in covered:
-                    continue
-                used.add(block)
-                chosen.append(block)
-                covered.update(corners)
-                if pick(pi + 1):
-                    return True
-                used.discard(block)
-                chosen.pop()
-                covered.difference_update(corners)
-            return False
-
-        return pick(0)
-
-    if not fill_day(0):
+    blocks = design.blocks
+    lines = [blocks.index(matching[day]) for day in days]
+    day_of_line = {line: d for d, line in enumerate(lines)}
+    # items: the days, then the blocks; every spread holds exactly one plane
+    # block, and the matching gives each plane block to one day
+    options = [[] for _ in days] + [()] * len(blocks)
+    for spread in _spread_covers(design):
+        d = next(day_of_line[i] for i in spread if i in day_of_line)
+        options[d].append((spread, 1 << d | sum(1 << (len(days) + i) for i in spread)))
+    week = next(_exact_covers(len(options), options), None)
+    if week is None:
         raise ResolutionError("matching admits no resolution; the design or matching is corrupted")
-    return Resolution(classes={day: classes[day] for day in days}, matching=dict(matching))
+    classes = {
+        day: ParallelClass((blocks[line], *(blocks[i] for i in spread if i != line)))
+        for day, line, spread in zip(days, lines, week)
+    }
+    return Resolution(classes=classes, matching=dict(matching))
 
 
 def validate_resolution(design, resolution):
@@ -297,31 +296,7 @@ def enumerate_spreads(design):
     """
     if design.m != 4:
         raise ResolutionError(f"spread enumeration needs a size-4 design, got m={design.m}")
-    blocks = design.blocks
-    by_point = {}
-    for idx, blk in enumerate(blocks):
-        for p in blk.points:
-            by_point.setdefault(p, []).append(idx)
-    spreads = []
-
-    def extend(chosen, covered):
-        if len(chosen) == 5:
-            spreads.append(tuple(chosen))
-            return
-        pivot = next(p for p in design.points if p not in covered)
-        for idx in by_point[pivot]:
-            blk = blocks[idx]
-            if any(p in covered for p in blk.points):
-                continue
-            chosen.append(idx)
-            covered.update(blk.points)
-            extend(chosen, covered)
-            chosen.pop()
-            covered.difference_update(blk.points)
-
-    extend([], set())
-    spreads.sort()
-    return tuple(ParallelClass(tuple(blocks[i] for i in s)) for s in spreads)
+    return tuple(ParallelClass(tuple(design.blocks[i] for i in spread)) for spread in _spread_covers(design))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +361,7 @@ def reference_resolution(design):
                 raise ResolutionError(f"{day}: row {' '.join(codes)} is not a block: {exc}") from exc
             blocks.append(block)
         classes[day] = ParallelClass(tuple(blocks))
-        plane_rows = [b for b in blocks if all(not p.value >> 3 for p in b.points)]
+        plane_rows = [b for b in blocks if all(p.in_plane for p in b.points)]
         if len(plane_rows) != 1:
             raise ResolutionError(f"{day}: expected exactly one plane row, found {len(plane_rows)}")
         matching[day] = plane_rows[0]

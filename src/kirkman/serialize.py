@@ -14,7 +14,7 @@ import json
 from . import pauli
 from .designs import expand_seeds
 from .errors import DocumentError, KirkmanError
-from .resolver import DAY_DISPLAY_ORDER, DayLabel, ParallelClass, Resolution, all_days
+from .resolver import DAY_DISPLAY_ORDER, DayLabel, ParallelClass, Resolution, all_days, validate_resolution
 
 __all__ = [
     "FORMAT",
@@ -149,14 +149,19 @@ def _rebuild_resolution(doc, design):
             _require(isinstance(i, int) and 0 <= i < len(design.blocks), f"bad block index {i!r}")
             blocks.append(design.blocks[i])
         classes[day] = ParallelClass(tuple(blocks))
-        plane = [b for b in blocks if all(not p.value >> 3 for p in b.points)]
+        plane = [b for b in blocks if all(p.in_plane for p in b.points)]
         _require(len(plane) == 1, f"day {day} does not hold exactly one plane block")
         matching[day] = plane[0]
     _require(set(classes) == set(all_days()), "day list does not cover the week")
-    return Resolution(
+    resolution = Resolution(
         classes={day: classes[day] for day in all_days()},
         matching={day: matching[day] for day in all_days()},
     )
+    failures = validate_resolution(design, resolution).failures
+    if failures:
+        first = failures[0]
+        raise DocumentError(f"day classes are not a resolution: {first.name} ({'; '.join(first.details)})")
+    return resolution
 
 
 def load_document(path):

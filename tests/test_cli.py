@@ -13,6 +13,16 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def save_week_reusing_a_block(path, design, resolution):
+    """A resolved document whose Sunday swaps its last block for one of Monday's."""
+    serialize.save_document(path, design, resolution)
+    doc = json.loads(path.read_text())
+    sunday, monday = doc["days"][0], doc["days"][1]
+    assert (sunday["name"], monday["name"]) == ("SUN", "MON")
+    sunday["blocks"] = sunday["blocks"][:4] + monday["blocks"][1:2]
+    path.write_text(json.dumps(doc))
+
+
 class TestDocuments:
     def test_design_round_trip(self, canonical_design, tmp_path):
         path = tmp_path / "design.json"
@@ -68,6 +78,13 @@ class TestDocuments:
         path.write_text(json.dumps(doc))
         with pytest.raises(DocumentError):
             serialize.load_document(path)
+
+    def test_week_reusing_a_block_is_rejected(self, canonical_design, lex_resolution, tmp_path):
+        path = tmp_path / "resolved.json"
+        save_week_reusing_a_block(path, canonical_design, lex_resolution)
+        with pytest.raises(DocumentError) as err:
+            serialize.load_document(path)
+        assert "not a resolution" in str(err.value)
 
     def test_unknown_format_rejected(self, canonical_design, tmp_path):
         path = tmp_path / "design.json"
@@ -181,6 +198,23 @@ class TestCli:
         design.write_text(json.dumps(doc))
         assert self.run("verify", str(design)) == 1
         capsys.readouterr()
+
+    def test_week_reusing_a_block_exit_one(self, canonical_design, lex_resolution, tmp_path, capsys):
+        path = tmp_path / "resolved.json"
+        save_week_reusing_a_block(path, canonical_design, lex_resolution)
+        runs = [
+            ("resolve", str(path)),
+            ("render", str(path), "--kind", "color-tiling", "--out", str(tmp_path / "week.svg")),
+            ("render", str(path), "--kind", "audio", "--out", str(tmp_path / "week.wav")),
+            ("verify", str(path)),
+        ]
+        for argv in runs:
+            assert self.run(*argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: day classes are not a resolution")
+        assert not (tmp_path / "week.svg").exists()
+        assert not (tmp_path / "week.wav").exists()
 
     def test_tables_dictionary(self, capsys):
         assert self.run("tables", "--dictionary") == 0

@@ -1,8 +1,12 @@
 """Day matching, deterministic resolution, spreads, the reference week."""
 
-import pytest
+import hashlib
+import itertools
 
-from kirkman import designs, resolver, serialize
+import pytest
+from hypothesis import given, strategies as st
+
+from kirkman import designs, oracle, pauli, resolver, serialize
 from kirkman.errors import ResolutionError
 
 # least block per day point under lexicographic backtracking
@@ -28,8 +32,52 @@ REFERENCE_MATCHING = {
 }
 
 
+# sha256 of the block coordinates of resolve(design, matching) for the 24
+# incidence-respecting matchings of the canonical design, in the order of
+# incidence_matchings(); recorded from the backtracking resolver that
+# preceded the exact-cover search
+PINNED_WEEKS_SHA256 = "0075ceaae1d336b319af0125533e773c96b4efa08869e969074a1caf37d836ac"
+
+# sha256 of the 56 spreads of the canonical design, in enumeration order
+PINNED_SPREADS_SHA256 = "eb0ed728aed2ce71317224b32556d8e902e668dcba8220d9e78926a876b6195d"
+
+
+INDEPENDENT_4_TUPLES = tuple(oracle.independent_tuples(4))
+
+
 def block_bits(block):
     return tuple(p.bits for p in block.points)
+
+
+def block_text(block):
+    return "-".join(block_bits(block))
+
+
+def week_text(resolution):
+    return "\n".join(
+        f"{day.bits}: " + " ".join(block_text(b) for b in resolution.classes[day])
+        for day in resolver.all_days()
+    )
+
+
+def spreads_text(spreads):
+    return "\n".join(" ".join(block_text(b) for b in spread) for spread in spreads)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def incidence_matchings(design):
+    """Every day-to-plane-block bijection that respects day-point incidence."""
+    days = resolver.all_days()
+    lines = [b for b in design.blocks if all(p.in_plane for p in b.points)]
+    candidates = [[l for l in lines if designs.Point(d.value, 4) in l] for d in days]
+    return [
+        dict(zip(days, choice))
+        for choice in itertools.product(*candidates)
+        if len(set(choice)) == len(days)
+    ]
 
 
 class TestDayLabel:
@@ -95,6 +143,18 @@ class TestResolve:
             resolver.resolve(fano_design)
         assert "m=4" in str(err.value)
 
+    def test_every_matching_resolves_as_pinned(self, canonical_design):
+        matchings = incidence_matchings(canonical_design)
+        assert len(matchings) == 24
+        weeks = []
+        for matching in matchings:
+            res = resolver.resolve(canonical_design, matching=matching)
+            report = resolver.validate_resolution(canonical_design, res)
+            assert report.passed, report.text()
+            assert res.matching == matching
+            weeks.append(week_text(res))
+        assert sha256("\n\n".join(weeks)) == PINNED_WEEKS_SHA256
+
     def test_tampered_resolution_fails_validation(self, canonical_design, lex_resolution):
         classes = dict(lex_resolution.classes)
         mon = resolver.DayLabel.from_name("MON")
@@ -111,6 +171,7 @@ class TestSpreads:
         spreads = resolver.enumerate_spreads(canonical_design)
         assert len(spreads) == 56
         assert len(set(spreads)) == 56
+        assert sha256(spreads_text(spreads)) == PINNED_SPREADS_SHA256
 
     def test_each_spread_partitions_the_points(self, canonical_design):
         for spread in resolver.enumerate_spreads(canonical_design):
@@ -120,13 +181,35 @@ class TestSpreads:
 
     def test_each_spread_holds_one_fano_line(self, canonical_design):
         for spread in resolver.enumerate_spreads(canonical_design):
-            lines = [b for b in spread if all(not p.value >> 3 for p in b.points)]
+            lines = [b for b in spread if all(p.in_plane for p in b.points)]
             assert len(lines) == 1
 
     def test_resolution_classes_are_spreads(self, canonical_design, lex_resolution):
         spreads = {tuple(sorted(s.blocks)) for s in resolver.enumerate_spreads(canonical_design)}
         for day in resolver.all_days():
             assert tuple(sorted(lex_resolution.classes[day].blocks)) in spreads
+
+
+    def test_packing_census(self, canonical_design):
+        # a packing of PG(3,2) is a set of 7 spreads partitioning the 35 blocks
+        options = [[] for _ in canonical_design.blocks]
+        for spread in resolver._spread_covers(canonical_design):
+            mask = sum(1 << i for i in spread)
+            for i in spread:
+                options[i].append((spread, mask))
+        packings = list(resolver._exact_covers(len(options), options))
+        assert len(packings) == 240
+        assert len(set(map(frozenset, packings))) == 240
+
+
+class TestCoordinatesOnly:
+    @given(st.sampled_from(INDEPENDENT_4_TUPLES))
+    def test_week_and_spreads_match_the_canonical_design(self, canonical_design, lex_resolution, values):
+        design = designs.expand_seeds(tuple(pauli.PauliLabel(v, 4) for v in values))
+        assert week_text(resolver.resolve(design)) == week_text(lex_resolution)
+        assert spreads_text(resolver.enumerate_spreads(design)) == spreads_text(
+            resolver.enumerate_spreads(canonical_design)
+        )
 
 
 class TestReferenceWeek:
