@@ -52,6 +52,9 @@ _SIGNATURE_ASCII = {"flat": "b", "natural": "", "sharp": "#"}
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17)
 
+# largest buffer synthesize allocates: 2**25 float64 samples, 256 MiB
+_MAX_SAMPLES = 1 << 25
+
 
 @dataclass(frozen=True)
 class NoteLabel:
@@ -195,24 +198,16 @@ class WindowParams:
 
     hop: float = 0.8
     sigma: float = 0.12
-    duration: float | None = None
 
     def __post_init__(self):
-        if self.hop <= 0 or self.sigma <= 0:
-            raise SynthesisError("hop and sigma must be positive")
-        if self.duration is not None and self.duration <= 0:
-            raise SynthesisError("note duration must be positive")
+        if not (0 < self.hop < math.inf and 0 < self.sigma < math.inf):
+            raise SynthesisError("hop and sigma must be positive and finite")
         # the window must fall below 1% of peak by the next-but-one onset
         if math.exp(-2.0 * self.hop**2 / self.sigma**2) >= 0.01:
             raise SynthesisError(
                 f"hop {self.hop} s is too short for sigma {self.sigma} s; "
                 "chord onsets would not be separable"
             )
-
-    @property
-    def span(self):
-        """Truncation span of one windowed note, default six sigma."""
-        return self.duration if self.duration is not None else 6.0 * self.sigma
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,10 @@ def synthesize(chords, scale, window=None, config=None, pitch_order="q"):
 
     Chord n is centered at t_n = n*hop + 3*sigma; each note contributes
     amp * exp(-(t - t_n)^2 / (2 sigma^2)) * sin(2 pi f t) over a window
-    truncated to the note span.  The buffer is scaled down only if its
-    peak exceeds the configured ceiling.
+    truncated at t_n +/- 3 sigma.  The buffer is scaled down only if its
+    peak exceeds the configured ceiling.  Parameters that would need more
+    than ``_MAX_SAMPLES`` samples, or a scale reaching the Nyquist
+    frequency, are rejected before anything is allocated.
     """
     window = window or WindowParams()
     config = config or SynthConfig()
@@ -264,8 +261,13 @@ def synthesize(chords, scale, window=None, config=None, pitch_order="q"):
         raise SynthesisError("nothing to synthesize: no chords")
     rate = config.sample_rate
     total = buffer_length(len(chords), window, config)
+    if total > _MAX_SAMPLES:
+        raise SynthesisError(f"{total} samples exceed the synthesis cap of {_MAX_SAMPLES}")
+    top = max(scale.frequencies)
+    if not top < rate / 2:
+        raise SynthesisError(f"top note {top:.2f} Hz is not below the Nyquist frequency {rate / 2:g} Hz")
     buf = np.zeros(total, dtype=np.float64)
-    half = window.span / 2.0
+    half = 3.0 * window.sigma
     for n, chord in enumerate(chords):
         center = n * window.hop + 3.0 * window.sigma
         lo = max(0, math.ceil((center - half) * rate))

@@ -2,9 +2,12 @@
 
 The oracle builds operators as explicit Kronecker products of 2x2 factor
 matrices and never calls the label-level product, so it is an independent
-check of the algebra module.  Matrices are kept unnormalized (entries are
-Gaussian integers; the weight 2**-f is carried separately as a Fraction),
-which makes every comparison exact with zero tolerance.
+check of the algebra module.  Design checks classify blocks with the
+oracle's own commutation test, two dense matrix products compared, and
+call neither ``pauli.commutes`` nor ``pauli.product``.  Matrices are kept
+unnormalized (entries are Gaussian integers; the weight 2**-f is carried
+separately as a Fraction), which makes every comparison exact with zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import designs, pauli
 from .errors import OracleError
@@ -81,11 +85,6 @@ class DenseOp:
     tensor: tuple
     weight: Fraction
 
-    @property
-    def matrix(self):
-        """The normalized operator (weight applied); dyadic, hence exact."""
-        return _scaled(self.tensor, float(self.weight))
-
 
 def dense_of(label):
     """Kronecker-product matrix of a label, capped at four qubits."""
@@ -95,6 +94,13 @@ def dense_of(label):
     for code in label.factors:
         matrix = kron(matrix, _FACTORS[code])
     return DenseOp(label, matrix, pauli.weight_of(label))
+
+
+@lru_cache(maxsize=None)
+def _dense_commutes(x, y, width):
+    """True when the dense matrices of the width-bit words x, y commute."""
+    da, db = (dense_of(pauli.PauliLabel(v, width)).tensor for v in (x, y))
+    return matmul(da, db) == matmul(db, da)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +142,11 @@ def verify_algebra(n=2):
                 prod_bad.append(f"{a}.{b}")
     checks.append(_check(f"label products match dense products ({len(labels) ** 2} pairs)", prod_bad))
 
-    comm_bad = []
-    for a, b in itertools.combinations(labels, 2):
-        dense_commutes = matmul(dense[a].tensor, dense[b].tensor) == matmul(dense[b].tensor, dense[a].tensor)
-        if pauli.commutes(a, b) != dense_commutes:
-            comm_bad.append(f"{a},{b}")
+    comm_bad = [
+        f"{a},{b}"
+        for a, b in itertools.combinations(labels, 2)
+        if pauli.commutes(a, b) != _dense_commutes(a.value, b.value, a.width)
+    ]
     checks.append(_check("commutation predicate matches dense commutators", comm_bad))
 
     cof_bad = []
@@ -258,11 +264,12 @@ def verify_design(design):
 
     kind_bad = []
     commuting = 0
+    width = design.assignment[design.points[0]].width
     for block in design.blocks:
-        la, lb, lc = (design.assignment[pt] for pt in block.points)
-        ab = pauli.commutes(la, lb)
-        ac = pauli.commutes(la, lc)
-        bc = pauli.commutes(lb, lc)
+        a, b, c = (ops[pt.value] for pt in block.points)
+        ab = _dense_commutes(a, b, width)
+        ac = _dense_commutes(a, c, width)
+        bc = _dense_commutes(b, c, width)
         if ab and ac and bc:
             expected = designs.BlockKind.COMMUTING
             commuting += 1

@@ -199,7 +199,7 @@ def test_11_audio_rendering_and_spectra(canonical_design, lex_resolution):
     elapsed = time.perf_counter() - start
     closed_form = audio.buffer_length(35, window, config)
     assert len(buffer) == closed_form
-    assert abs(len(buffer) - (35 * window.hop + window.span) * config.sample_rate) <= 1
+    assert abs(len(buffer) - (35 * window.hop + 6.0 * window.sigma) * config.sample_rate) <= 1
     assert len(report.slots) == 35
     assert report.passed, report.text()
     for slot in report.slots:

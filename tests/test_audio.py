@@ -1,5 +1,6 @@
 """Scale construction, chord sequences, synthesis, spectra."""
 
+import dataclasses
 import math
 import wave
 from fractions import Fraction
@@ -152,13 +153,18 @@ class TestWindowAndConfig:
     def test_defaults(self):
         w = audio.WindowParams()
         assert (w.hop, w.sigma) == (0.8, 0.12)
-        assert w.span == pytest.approx(0.72)
+        assert [f.name for f in dataclasses.fields(w)] == ["hop", "sigma"]
 
     def test_separability_guard(self):
         with pytest.raises(SynthesisError):
             audio.WindowParams(hop=0.1, sigma=0.12)
         with pytest.raises(SynthesisError):
             audio.WindowParams(hop=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(SynthesisError):
+                audio.WindowParams(hop=bad)
+            with pytest.raises(SynthesisError):
+                audio.WindowParams(sigma=bad)
         # comfortably separable
         audio.WindowParams(hop=0.5, sigma=0.12)
 
@@ -204,6 +210,23 @@ class TestSynthesis:
         inside = float(np.sum(buf[:edge] ** 2))
         total = float(np.sum(buf**2))
         assert inside >= 0.99 * total
+
+    def test_notes_truncate_at_three_sigma(self, fano_design, scale):
+        # the one chord sits at 3 sigma; its window ends at 6 sigma
+        buf = audio.synthesize([audio.chord_sequence(fano_design)[0]], scale)
+        edge = math.floor(6 * 0.12 * 44100)
+        assert buf[edge - 10 : edge].any()
+        assert not buf[edge + 1 :].any()
+
+    def test_rejects_top_note_at_or_above_nyquist(self):
+        high = audio.build_cps_scale(tonic=20000.0)
+        assert max(high.frequencies) == 37500.0
+        window = audio.WindowParams(hop=0.05, sigma=0.01)
+        chord = [(audio.NOTE_ORDER[0],)]
+        for rate in (44100, 75000):
+            with pytest.raises(SynthesisError, match="Nyquist"):
+                audio.synthesize(chord, high, window, audio.SynthConfig(sample_rate=rate))
+        assert audio.synthesize(chord, high, window, audio.SynthConfig(sample_rate=75001)).any()
 
     def test_o_pitch_order_differs(self, scale):
         # B-flat is fourth by coordinate but lowest by table row

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kirkman import cli, pauli, resolver, serialize
+from kirkman import audio, cli, pauli, resolver, serialize
 from kirkman.errors import DocumentError
 
 
@@ -252,6 +252,30 @@ class TestCli:
 
         with wave.open(str(wav)) as fh:
             assert fh.getframerate() == 22050
+
+    def test_audio_over_the_sample_cap_exit_one(self, tmp_path, capsys, monkeypatch):
+        design = tmp_path / "fano.json"
+        wav = tmp_path / "huge.wav"
+        self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(design))
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("render allocated a sample buffer")
+
+        monkeypatch.setattr(audio.np, "zeros", no_alloc)
+        code = self.run("render", str(design), "--kind", "audio", "--sample-rate", "1000000000", "--out", str(wav))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "synthesis cap" in err
+        assert not wav.exists()
+
+    def test_audio_top_note_above_nyquist_exit_one(self, tmp_path, capsys):
+        design = tmp_path / "fano.json"
+        wav = tmp_path / "aliased.wav"
+        self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(design))
+        assert self.run("render", str(design), "--kind", "audio", "--tonic", "20000", "--out", str(wav)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Nyquist" in err
+        assert not wav.exists()
 
     def test_seed_echo_matches_dictionary(self, capsys):
         # default seeds are the worked example of the operator dictionary

@@ -9,13 +9,18 @@ from kirkman import designs, oracle, pauli
 from kirkman.errors import OracleError
 
 
+def normalized(op):
+    """The operator's matrix with its weight applied, exact in Fractions."""
+    return tuple(tuple(op.weight * x for x in row) for row in op.tensor)
+
+
 class TestDenseOperators:
     def test_q4_matrix(self):
         # half sigma_z on the leading qubit: diag(1/2, 1/2, -1/2, -1/2)
         op = oracle.dense_of(pauli.q_label(4))
         assert op.weight == Fraction(1, 2)
         half = Fraction(1, 2)
-        assert op.matrix == (
+        assert normalized(op) == (
             (half, 0, 0, 0),
             (0, half, 0, 0),
             (0, 0, -half, 0),
@@ -26,10 +31,11 @@ class TestDenseOperators:
         op = oracle.dense_of(pauli.q_label(15))
         assert op.weight == Fraction(1, 4)
         quarter = Fraction(1, 4)
+        matrix = normalized(op)
         for i in range(4):
             for j in range(4):
                 want = quarter if i + j == 3 else 0
-                assert op.matrix[i][j] == want
+                assert matrix[i][j] == want
 
     def test_scaled_entries_are_gaussian_integers(self):
         for lbl in pauli.all_labels(4):
@@ -91,6 +97,28 @@ class TestVerifyDesign:
         report = oracle.verify_design(broken)
         assert not report.passed
         assert any("XOR-linear" in c.name for c in report.checks if not c.passed)
+
+    def test_flipped_block_kind_is_caught(self, canonical_design):
+        block = canonical_design.blocks[0]
+        kinds = dict(canonical_design.kinds)
+        kinds[block] = next(kind for kind in designs.BlockKind if kind != kinds[block])
+        report = oracle.verify_design(dataclasses.replace(canonical_design, kinds=kinds))
+        failing = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failing] == ["block classification"]
+        assert any(str(block) in line for line in failing[0].details)
+
+    @pytest.mark.parametrize("name", ["canonical_design", "fano_design"])
+    def test_block_classification_ignores_the_label_algebra(self, name, request, monkeypatch):
+        design = request.getfixturevalue(name)
+
+        def forbidden(*args):
+            raise AssertionError("verify_design called the label algebra")
+
+        monkeypatch.setattr(pauli, "commutes", forbidden)
+        monkeypatch.setattr(pauli, "product", forbidden)
+        oracle._dense_commutes.cache_clear()
+        report = oracle.verify_design(design)
+        assert report.passed, report.text()
 
 
 class TestSeedCensus:

@@ -85,6 +85,8 @@ class TestProduct:
     def test_width_mismatch_rejected(self):
         with pytest.raises(LabelError):
             pauli.product(bits("01"), bits("0110"))
+        with pytest.raises(LabelError):
+            pauli.commutes(bits("01"), bits("0110"))
 
     @given(st.integers(1, 63), st.integers(1, 63))
     def test_product_matches_dense_three_qubits(self, av, bv):
@@ -116,6 +118,26 @@ class TestCommutation:
         for a in labels:
             for b in labels:
                 assert pauli.commutes(a, b) == pauli.commutes(b, a)
+
+    @given(st.data())
+    def test_commutes_iff_product_phase_is_real(self, data):
+        # up to 60 qubits: the symplectic parity must agree with the phase
+        # table, and the mask must cover every qubit of a wide word, so the
+        # words are drawn factor by factor
+        qubits = data.draw(st.integers(1, 60))
+        factors = st.lists(st.integers(0, 3), min_size=qubits, max_size=qubits)
+        a, b = (bits("".join(f"{f:02b}" for f in data.draw(factors))) for _ in range(2))
+        assert pauli.commutes(a, b) == (pauli.product(a, b)[1].k % 2 == 0)
+        assert pauli.commutes(a, b) == pauli.commutes(b, a)
+
+    @given(st.data())
+    def test_commutes_matches_dense_commutators(self, data):
+        width = data.draw(st.sampled_from((6, 8)))
+        word = st.integers(1, (1 << width) - 1)
+        a = pauli.PauliLabel(data.draw(word), width)
+        b = pauli.PauliLabel(data.draw(word), width)
+        da, db = oracle.dense_of(a).tensor, oracle.dense_of(b).tensor
+        assert pauli.commutes(a, b) == (oracle.matmul(da, db) == oracle.matmul(db, da))
 
 
 class TestDictionary:
@@ -205,7 +227,4 @@ class TestWeights:
     def test_weight_halves_per_factor(self):
         assert pauli.weight_of(bits("0100")) == Fraction(1, 2)
         assert pauli.weight_of(bits("1111")) == Fraction(1, 4)
-
-    def test_normalized_op(self):
-        op = pauli.NormalizedOp(bits("1100"))
-        assert op.weight == Fraction(1, 2)
+        assert pauli.weight_of(bits("1100")) == Fraction(1, 2)
