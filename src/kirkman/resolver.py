@@ -65,6 +65,9 @@ class DayLabel:
 
     @classmethod
     def from_bits(cls, bits):
+        """Parse the three binary digits ``bits`` gives, such as ``"011"``."""
+        if not (isinstance(bits, str) and len(bits) == 3 and set(bits) <= {"0", "1"}):
+            raise ResolutionError(f"day label must be three binary digits, got {bits!r}")
         return cls(int(bits, 2))
 
     @property

@@ -73,15 +73,20 @@ def _require(cond, message):
         raise DocumentError(message)
 
 
+def _exact(value, expected):
+    """Equal in type as well as value, so 4.0 or true does not stand for an int."""
+    return type(value) is type(expected) and value == expected
+
+
 def _rebuild_design(doc):
     seeds_field = doc.get("seeds")
     _require(isinstance(seeds_field, list) and seeds_field, "document lacks a seed list")
+    _require(all(type(q) is int for q in seeds_field), f"seeds {seeds_field!r} are not all integers")
     try:
-        seeds = tuple(pauli.q_label(int(q)) for q in seeds_field)
-        design = expand_seeds(seeds)
-    except (KirkmanError, ValueError, TypeError) as exc:
+        design = expand_seeds(tuple(pauli.q_label(q) for q in seeds_field))
+    except KirkmanError as exc:
         raise DocumentError(f"document seeds are invalid: {exc}") from exc
-    _require(doc.get("m") == design.m, f"m={doc.get('m')!r} does not match {design.m} seeds")
+    _require(_exact(doc.get("m"), design.m), f"m={doc.get('m')!r} does not match {design.m} seeds")
     return design
 
 
@@ -100,7 +105,7 @@ def _check_points(doc, design):
         recorded = (row.get("q"), row.get("o"), row.get("color"), row.get("note"))
         actual = (label.q_index, entry.o_index, entry.color, entry.note)
         _require(
-            recorded == actual,
+            all(map(_exact, recorded, actual)),
             f"point ({point.bits}) records {recorded}, but the seeds give {actual}",
         )
 
@@ -137,7 +142,7 @@ def _rebuild_resolution(doc, design):
     for row in days_field:
         _require(isinstance(row, dict), f"day entry {row!r} is not an object")
         try:
-            day = DayLabel.from_bits(str(row.get("label")))
+            day = DayLabel.from_bits(row.get("label"))
         except KirkmanError as exc:
             raise DocumentError(f"bad day label {row.get('label')!r}") from exc
         _require(row.get("name") == day.name, f"day {day.bits} misnamed {row.get('name')!r}")
@@ -146,7 +151,7 @@ def _rebuild_resolution(doc, design):
         _require(isinstance(indices, list) and len(indices) == 5, f"day {day} needs 5 block indices")
         blocks = []
         for i in indices:
-            _require(isinstance(i, int) and 0 <= i < len(design.blocks), f"bad block index {i!r}")
+            _require(type(i) is int and 0 <= i < len(design.blocks), f"bad block index {i!r}")
             blocks.append(design.blocks[i])
         classes[day] = ParallelClass(tuple(blocks))
         plane = [b for b in blocks if all(p.in_plane for p in b.points)]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kirkman import audio, designs, pauli, resolver
 from kirkman.errors import KirkmanError, SynthesisError
@@ -168,6 +169,13 @@ class TestWindowAndConfig:
         # comfortably separable
         audio.WindowParams(hop=0.5, sigma=0.12)
 
+    def test_huge_hop_reaches_the_sample_cap(self):
+        config = audio.SynthConfig()
+        for hop in (1e200, 1e307):
+            window = audio.WindowParams(hop=hop)
+            with pytest.raises(SynthesisError, match="synthesis cap"):
+                audio.buffer_length(35, window, config)
+
     def test_config_invariants(self):
         with pytest.raises(SynthesisError):
             audio.SynthConfig(peak_ceiling=1.0)
@@ -307,3 +315,110 @@ class TestSpectralReport:
             audio.spectral_report(buf[:-10], chords, scale)
         with pytest.raises(SynthesisError):
             audio.spectral_report(buf, chords[:-1], scale)
+
+    def test_text_reports_the_margin(self, fano_design, scale):
+        chords = audio.chord_sequence(fano_design)
+        report = audio.spectral_report(audio.synthesize(chords, scale), chords, scale)
+        lines = report.text().split("\n")
+        assert len(lines) == 8
+        assert all("margin" in line and "residual" in line for line in lines[1:])
+        assert all(len(s.amplitudes) == 15 and s.margin >= 1e3 for s in report.slots)
+
+
+def _week(seeds):
+    design = designs.expand_seeds(tuple(pauli.q_label(q) for q in seeds))
+    return audio.chord_sequence(design, resolver.resolve(design))
+
+
+def _failed(buffer, chords, scale, **kwargs):
+    return [s.index for s in audio.spectral_report(buffer, chords, scale, **kwargs).slots if not s.passed]
+
+
+# seeds Q8,Q14,Q9,Q5: slot 27 holds 5*11 and 13*17, 1.72 Hz apart at 220 Hz
+FAULT_SEEDS = (8, 14, 9, 5)
+CLOSE_PAIR = (Fraction(55, 32), Fraction(221, 128))
+
+
+class TestSpectralFit:
+    @pytest.fixture(scope="class")
+    def week(self):
+        return _week(FAULT_SEEDS)
+
+    def test_close_notes_are_told_apart(self, week, scale):
+        buf = audio.synthesize(week, scale)
+        report = audio.spectral_report(buf, week, scale)
+        assert report.passed, report.text()
+        close = {scale.frequencies[scale.ratios.index(r)] for r in CLOSE_PAIR}
+        assert close <= set(report.slots[27].expected_hz)
+        assert set(report.slots[27].peak_bins) == {f / report.bin_hz for f in report.slots[27].expected_hz}
+
+    def test_sixteen_bit_samples_pass(self, week, scale, tmp_path):
+        path = tmp_path / "week.wav"
+        audio.write_wav(path, audio.synthesize(week, scale))
+        with wave.open(str(path)) as wav:
+            samples = np.frombuffer(wav.readframes(wav.getnframes()), dtype="<i2") / 32767.0
+        report = audio.spectral_report(samples, week, scale)
+        assert report.passed, report.text()
+        assert min(s.margin for s in report.slots) >= 1e4
+
+    def test_neighbour_swap_fails_that_slot_only(self, week, scale):
+        low, high = (audio.NOTE_ORDER[scale.ratios.index(r)] for r in CLOSE_PAIR)
+        n = next(i for i, chord in enumerate(week) if low in chord and high not in chord)
+        swapped = list(week)
+        swapped[n] = tuple(high if note == low else note for note in week[n])
+        assert _failed(audio.synthesize(swapped, scale), week, scale) == [n]
+
+    def test_dropped_note_fails_that_slot(self, week, scale):
+        dropped = list(week)
+        dropped[27] = week[27][:2]
+        assert _failed(audio.synthesize(dropped, scale), week, scale) == [27]
+
+    def test_added_off_scale_tone_fails_that_slot(self, week, scale):
+        buf = audio.synthesize(week, scale)
+        window = audio.WindowParams()
+        rate = 44100
+        center = 3 * window.hop + 3 * window.sigma
+        lo = int(round((center - 3 * window.sigma) * rate))
+        t = np.arange(lo, lo + int(round(6 * window.sigma * rate))) / rate
+        buf[lo : lo + len(t)] += (
+            0.3 * np.exp(-((t - center) ** 2) / (2 * window.sigma**2)) * np.sin(2 * math.pi * 500.0 * t)
+        )
+        assert _failed(buf, week, scale) == [3]
+
+    def test_pitch_order_must_match(self, week, scale):
+        buf = audio.synthesize(week, scale, pitch_order="o")
+        assert audio.spectral_report(buf, week, scale, pitch_order="o").passed
+        assert not audio.spectral_report(buf, week, scale, pitch_order="q").passed
+
+    def test_repeated_note_counts_twice(self, scale):
+        b, c = audio.NoteLabel.parse("B"), audio.NoteLabel.parse("C")
+        buf = audio.synthesize([(b, b, c)], scale)
+        assert audio.spectral_report(buf, [(b, b, c)], scale).passed
+        assert not audio.spectral_report(buf, [(b, c)], scale).passed
+
+    def test_overlapping_windows(self, week, scale):
+        # windows 6 sigma wide overlap at hop 0.5 s; the fit keeps to the
+        # samples no neighbour reaches
+        window = audio.WindowParams(hop=0.5, sigma=0.12)
+        buf = audio.synthesize(week, scale, window)
+        assert audio.spectral_report(buf, week, scale, window).passed
+        window = audio.WindowParams(hop=0.3, sigma=0.12)
+        buf = audio.synthesize(week, scale, window)
+        with pytest.raises(SynthesisError, match="3 sigma"):
+            audio.spectral_report(buf, week, scale, window)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seeds=st.tuples(*[st.integers(1, 15)] * 4),
+        primes=st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]), min_size=6, max_size=6, unique=True),
+        tonic=st.floats(110.0, 11000.0),
+    )
+    def test_any_week_at_any_scale_passes(self, seeds, primes, tonic):
+        try:
+            week = _week(seeds)
+            scale = audio.build_cps_scale(primes, tonic)
+        except KirkmanError:
+            assume(False)
+        buf = audio.synthesize(week, scale)
+        report = audio.spectral_report(buf, week, scale)
+        assert report.passed, report.text()

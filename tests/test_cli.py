@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kirkman import audio, cli, pauli, resolver, serialize
+from kirkman import audio, cli, designs, pauli, resolver, serialize
 from kirkman.errors import DocumentError
 
 
@@ -23,7 +26,104 @@ def save_week_reusing_a_block(path, design, resolution):
     path.write_text(json.dumps(doc))
 
 
+def save_tampered(path, design, resolution, edit):
+    """Save a document, then apply ``edit`` to its parsed JSON and write it back."""
+    serialize.save_document(path, design, resolution)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(serialize.to_json(doc))
+
+
+def _field(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        _field(doc, path[:-1])[path[-1]] = value
+
+    return edit
+
+
+def _true_for_index_one(doc):
+    day = next(d for d in doc["days"] if 1 in d["blocks"])
+    day["blocks"][day["blocks"].index(1)] = True
+
+
+# values that compare equal to, or cast to, a stored field but are not
+# what save_document writes
+LOOSE_FIELDS = {
+    "m 4.0": _set(("m",), 4.0),
+    "seed 12.9": _set(("seeds", 0), 12.9),
+    "seed '10'": _set(("seeds", 1), "10"),
+    "seed true": _set(("seeds", 0), True),
+    "q 11.0": _set(("points", 0, "q"), 11.0),
+    "o true": _set(("points", 0, "o"), True),
+    "block index true": _true_for_index_one,
+    "label SUN": _set(("days", 0, "label"), "SUN"),
+    "label null": _set(("days", 0, "label"), None),
+    "label 111": _set(("days", 0, "label"), 111),
+    "label 0b111": _set(("days", 0, "label"), "0b111"),
+}
+
+
+_CANONICAL = designs.expand_seeds(tuple(pauli.q_label(q) for q in (12, 10, 4, 11)))
+RESOLVED_TEXT = serialize.to_json(serialize.design_to_doc(_CANONICAL, resolver.resolve(_CANONICAL)))
+RESOLVED_DOC = json.loads(RESOLVED_TEXT)
+
+
+def _field_paths(node, path=()):
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _field_paths(child, path + (key,))
+
+
+def _mutants(path):
+    """Stand-ins for one field: wrong types, a huge int, neighbouring valid values."""
+    value = _field(RESOLVED_DOC, path)
+    out = [None, True, False, 0.5, "SUN", [value], 2**64, -1]
+    if type(value) is int:
+        out += [float(value), str(value), value + 1, value - 1]
+    lists = [i for i, key in enumerate(path) if type(key) is int]
+    if lists:
+        # the same field of the next entry of the innermost list
+        i = lists[-1]
+        size = len(_field(RESOLVED_DOC, path[:i]))
+        out.append(_field(RESOLVED_DOC, path[:i] + ((path[i] + 1) % size,) + path[i + 1 :]))
+    return out
+
+
 class TestDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_field_paths(RESOLVED_DOC))), data=st.data())
+    def test_mutant_loads_exactly_or_is_rejected(self, path, data):
+        doc = json.loads(RESOLVED_TEXT)
+        _field(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(_mutants(path)))
+        text = serialize.to_json(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            source = os.path.join(tmp, "mutant.json")
+            with open(source, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                design, resolution = serialize.load_document(source)
+            except DocumentError:
+                return
+            again = os.path.join(tmp, "again.json")
+            serialize.save_document(again, design, resolution)
+            with open(again, encoding="utf-8") as fh:
+                assert fh.read() == text
+
+    @pytest.mark.parametrize("edit", LOOSE_FIELDS.values(), ids=LOOSE_FIELDS.keys())
+    def test_loose_field_is_rejected(self, canonical_design, lex_resolution, tmp_path, edit):
+        path = tmp_path / "resolved.json"
+        save_tampered(path, canonical_design, lex_resolution, edit)
+        with pytest.raises(DocumentError):
+            serialize.load_document(path)
+
     def test_design_round_trip(self, canonical_design, tmp_path):
         path = tmp_path / "design.json"
         serialize.save_document(path, canonical_design)
@@ -215,6 +315,22 @@ class TestCli:
             assert captured.err.startswith("error: day classes are not a resolution")
         assert not (tmp_path / "week.svg").exists()
         assert not (tmp_path / "week.wav").exists()
+
+    def test_bad_day_label_exit_one(self, canonical_design, lex_resolution, tmp_path, capsys):
+        path = tmp_path / "resolved.json"
+        save_tampered(path, canonical_design, lex_resolution, LOOSE_FIELDS["label SUN"])
+        assert self.run("verify", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: bad day label 'SUN'")
+
+    def test_audio_huge_hop_exit_one(self, tmp_path, capsys):
+        design = tmp_path / "fano.json"
+        wav = tmp_path / "far.wav"
+        self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(design))
+        for hop in ("1e200", "1e307"):
+            assert self.run("render", str(design), "--kind", "audio", "--hop", hop, "--out", str(wav)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "synthesis cap" in err
+        assert not wav.exists()
 
     def test_tables_dictionary(self, capsys):
         assert self.run("tables", "--dictionary") == 0

@@ -92,6 +92,9 @@ class TestDayLabel:
             resolver.DayLabel(0)
         with pytest.raises(ResolutionError):
             resolver.DayLabel.from_name("XYZ")
+        for bits in (None, 3, "SUN", "000", "11", "0111", "0b1", " 11", "1_1"):
+            with pytest.raises(ResolutionError):
+                resolver.DayLabel.from_bits(bits)
 
     def test_display_order_starts_on_sunday(self):
         names = [d.name for d in resolver.DAY_DISPLAY_ORDER]
