@@ -11,6 +11,10 @@ to a tonic.  Chords render as Gabor atoms: a Gaussian window centered at
 the chord's time slot multiplying a sine carrier per note.  Synthesis is
 pure accumulation in a fixed order, so identical inputs give identical
 buffers and identical files.
+
+numpy is imported by the functions that work on arrays (synthesis, the
+spectral fit and the WAV writer), so the rest of the package loads
+without it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import math
 import wave
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import pauli
 from .designs import display_order
@@ -54,6 +56,9 @@ DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17)
 
 # largest buffer synthesize allocates: 2**25 float64 samples, 256 MiB
 _MAX_SAMPLES = 1 << 25
+
+# samples converted to 16 bits at a time: the float work block is 512 KiB
+_PCM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -264,6 +269,8 @@ def synthesize(chords, scale, window=None, config=None, pitch_order="q"):
     than ``_MAX_SAMPLES`` samples, or a scale reaching the Nyquist
     frequency, are rejected before anything is allocated.
     """
+    import numpy as np
+
     window = window or WindowParams()
     config = config or SynthConfig()
     chords = [tuple(c) for c in chords]
@@ -288,21 +295,45 @@ def synthesize(chords, scale, window=None, config=None, pitch_order="q"):
         for note in chord:
             freq = freqs[_note_degree(note, pitch_order)]
             buf[lo : hi + 1] += envelope * np.sin(2.0 * math.pi * freq * t)
-    peak = float(np.max(np.abs(buf))) if total else 0.0
+    # the largest magnitude without an abs() copy of the buffer
+    peak = float(max(buf.max(), -buf.min())) if total else 0.0
     if peak > config.peak_ceiling:
         buf *= config.peak_ceiling / peak
     return buf
 
 
+def _pcm16(buffer):
+    """Little-endian 16-bit samples of a float buffer.
+
+    Each sample is floor(x * 32767 + 0.5) clipped to [-32768, 32767],
+    worked out ``_PCM_BLOCK`` samples at a time in one float work
+    block, so no full-length float temporary is made.
+    """
+    import numpy as np
+
+    buffer = np.asarray(buffer, dtype=np.float64)
+    samples = np.empty(len(buffer), dtype="<i2")
+    work = np.empty(min(len(buffer), _PCM_BLOCK))
+    for lo in range(0, len(buffer), _PCM_BLOCK):
+        part = buffer[lo : lo + _PCM_BLOCK]
+        block = work[: len(part)]
+        np.multiply(part, 32767.0, out=block)
+        block += 0.5
+        np.floor(block, out=block)
+        np.clip(block, -32768, 32767, out=block)
+        samples[lo : lo + len(part)] = block
+    return samples
+
+
 def write_wav(path, buffer, config=None):
     """Write a float buffer as linear PCM: 16-bit signed mono RIFF/WAVE."""
     config = config or SynthConfig()
-    samples = np.clip(np.floor(buffer * 32767.0 + 0.5), -32768, 32767).astype("<i2")
+    samples = _pcm16(buffer)
     with wave.open(str(path), "wb") as out:
         out.setnchannels(config.channels)
         out.setsampwidth(config.bit_depth // 8)
         out.setframerate(config.sample_rate)
-        out.writeframes(samples.tobytes())
+        out.writeframes(samples)
 
 
 def scale_listing(scale):
@@ -377,6 +408,8 @@ def _fit_slots(buffer, nearest, offset, reach, freqs, rate, sigma):
     neither it nor the segments are held whole.  Returns each slot's
     amplitude per frequency and the share of its energy left unfitted.
     """
+    import numpy as np
+
     tau = np.arange(math.ceil(offset - reach), math.floor(offset + reach) + 1, dtype=np.float64)
     omega = 2.0 * math.pi * np.asarray(freqs) / rate
     # a block's carriers are its first sample's phasors turned by these
@@ -418,6 +451,8 @@ def spectral_report(buffer, chords, scale, window=None, config=None, pitch_order
     off-scale tone fails too.  ``bin_hz`` is the Fourier bin width of a
     6 sigma segment, the unit of ``expected_bins`` and ``peak_bins``.
     """
+    import numpy as np
+
     window = window or WindowParams()
     config = config or SynthConfig()
     chords = [tuple(c) for c in chords]

@@ -1,9 +1,11 @@
 """Scale construction, chord sequences, synthesis, spectra."""
 
 import dataclasses
+import hashlib
 import math
 import wave
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +262,36 @@ class TestSynthesis:
         with wave.open(str(out)) as wav:
             raw = np.frombuffer(wav.readframes(3), dtype="<i2")
         assert list(raw) == [16384, -16383, 0]
+
+    # sha256 of the WAV of the canonical lex week at the default scale and
+    # window, per sample rate; neither buffer is a whole number of blocks
+    PINNED_WAVS = {
+        44100: "9dad98082850ad2db9821ef87a8b34e0efd9b86d0f21e3099488d85a7888482b",
+        22050: "8b3a9c416bb123d3d38dd18cdd05d21487c4e0d34fe5933903e7d1530620550c",
+    }
+
+    @pytest.mark.parametrize("rate", PINNED_WAVS)
+    def test_wav_bytes_are_pinned(self, canonical_design, lex_resolution, scale, tmp_path, rate):
+        config = audio.SynthConfig(sample_rate=rate)
+        chords = audio.chord_sequence(canonical_design, lex_resolution)
+        buf = audio.synthesize(chords, scale, config=config)
+        assert len(buf) % audio._PCM_BLOCK != 0
+        out = tmp_path / "week.wav"
+        audio.write_wav(out, buf, config)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_WAVS[rate]
+
+    # a small block, so that 0 to 3 whole and partial blocks are drawn
+    SMALL_BLOCK = 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e9, 1e9)), max_size=3 * SMALL_BLOCK))
+    def test_block_conversion_matches_the_whole_buffer_formula(self, values):
+        buf = np.array(values, dtype=np.float64)
+        want = np.clip(np.floor(buf * 32767.0 + 0.5), -32768, 32767).astype("<i2")
+        with mock.patch.object(audio, "_PCM_BLOCK", self.SMALL_BLOCK):
+            got = audio._pcm16(buf)
+        assert got.dtype == np.dtype("<i2")
+        assert np.array_equal(got, want)
 
     def test_scale_listing(self, scale):
         listing = audio.scale_listing(scale)

@@ -1,14 +1,20 @@
 """Document round trips and the command-line pipeline."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kirkman import audio, cli, designs, pauli, resolver, serialize
+import kirkman
+from kirkman import cli, designs, pauli, resolver, serialize
 from kirkman.errors import DocumentError
 
 
@@ -97,13 +103,34 @@ def _mutants(path):
     return out
 
 
+FIELD_PATHS = list(_field_paths(RESOLVED_DOC))
+
+
+def _draw_mutant(path, data):
+    """The resolved document's text with the field at ``path`` replaced by a stand-in."""
+    doc = json.loads(RESOLVED_TEXT)
+    _field(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(_mutants(path)))
+    return serialize.to_json(doc)
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_text(text):
+    """Exit code, stdout and stderr of ``kirkman verify`` on a document's text."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "document.json")
+        with open(source, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", source])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestDocuments:
     @settings(max_examples=300, deadline=None)
-    @given(path=st.sampled_from(list(_field_paths(RESOLVED_DOC))), data=st.data())
+    @given(path=st.sampled_from(FIELD_PATHS), data=st.data())
     def test_mutant_loads_exactly_or_is_rejected(self, path, data):
-        doc = json.loads(RESOLVED_TEXT)
-        _field(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(_mutants(path)))
-        text = serialize.to_json(doc)
+        text = _draw_mutant(path, data)
         with tempfile.TemporaryDirectory() as tmp:
             source = os.path.join(tmp, "mutant.json")
             with open(source, "w", encoding="utf-8") as fh:
@@ -116,6 +143,26 @@ class TestDocuments:
             serialize.save_document(again, design, resolution)
             with open(again, encoding="utf-8") as fh:
                 assert fh.read() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(FIELD_PATHS), data=st.data())
+    def test_verify_on_a_mutant_exits_one_or_as_the_document(self, path, data):
+        text = _draw_mutant(path, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            source = os.path.join(tmp, "mutant.json")
+            with open(source, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                serialize.load_document(source)
+                rejected = False
+            except DocumentError:
+                rejected = True
+        code, out, err = _verify_text(text)
+        if rejected:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert (code, out, err) == _verify_text(RESOLVED_TEXT)
 
     @pytest.mark.parametrize("edit", LOOSE_FIELDS.values(), ids=LOOSE_FIELDS.keys())
     def test_loose_field_is_rejected(self, canonical_design, lex_resolution, tmp_path, edit):
@@ -370,6 +417,8 @@ class TestCli:
             assert fh.getframerate() == 22050
 
     def test_audio_over_the_sample_cap_exit_one(self, tmp_path, capsys, monkeypatch):
+        import numpy
+
         design = tmp_path / "fano.json"
         wav = tmp_path / "huge.wav"
         self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(design))
@@ -377,7 +426,7 @@ class TestCli:
         def no_alloc(*args, **kwargs):
             raise AssertionError("render allocated a sample buffer")
 
-        monkeypatch.setattr(audio.np, "zeros", no_alloc)
+        monkeypatch.setattr(numpy, "zeros", no_alloc)
         code = self.run("render", str(design), "--kind", "audio", "--sample-rate", "1000000000", "--out", str(wav))
         assert code == 1
         err = capsys.readouterr().err
@@ -397,3 +446,49 @@ class TestCli:
         # default seeds are the worked example of the operator dictionary
         assert cli.DEFAULT_SEEDS == "Q12,Q10,Q4,Q11"
         assert [pauli.q_label(q).q_index for q in (12, 10, 4, 11)] == [12, 10, 4, 11]
+
+
+# runs each command in one fresh interpreter and reports, after the import
+# and after each command, its exit code and whether numpy is loaded
+_NUMPY_PROBE = """
+import contextlib, json, os, sys
+import kirkman.cli
+
+tmp = sys.argv[1]
+design, resolved = (os.path.join(tmp, name) for name in ("design.json", "resolved.json"))
+steps = {
+    "generate": ["generate", "--out", design],
+    "resolve": ["resolve", design, "--out", resolved],
+    "color-tiling": ["render", resolved, "--kind", "color-tiling", "--out", os.path.join(tmp, "t.svg")],
+    "diagram": ["render", resolved, "--kind", "diagram", "--out", os.path.join(tmp, "d.svg")],
+    "verify": ["verify", resolved],
+    "tables": ["tables", "--commutators"],
+    "dictionary": ["dictionary", "D#"],
+    "audio": ["render", resolved, "--kind", "audio", "--out", os.path.join(tmp, "w.wav")],
+}
+seen = {"import": ["kirkman.audio" in sys.modules, "numpy" in sys.modules]}
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    for name, argv in steps.items():
+        seen[name] = [kirkman.cli.main(argv), "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_audio_commands_load_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(kirkman.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(run.stdout) == {
+        "import": [True, False],
+        "generate": [0, False],
+        "resolve": [0, False],
+        "color-tiling": [0, False],
+        "diagram": [0, False],
+        "verify": [0, False],
+        "tables": [0, False],
+        "dictionary": [0, False],
+        "audio": [0, True],
+    }

@@ -72,6 +72,28 @@ class TestVerifyAlgebra:
         assert len(failing) == 1
         assert "O2" in failing[0].details[0] and "O5" in failing[0].details[0]
 
+    def test_each_dense_product_is_computed_once(self, monkeypatch):
+        real, calls = oracle.matmul, []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(oracle, "matmul", counted)
+        oracle._dense_commutes.cache_clear()
+        assert oracle.verify_algebra(2).passed
+        assert len(calls) == 15 * 15
+
+    def test_wrong_commutation_predicate_is_reported(self, monkeypatch):
+        real = pauli.commutes
+        x, y = pauli.q_label(1), pauli.q_label(2)
+        monkeypatch.setattr(
+            pauli, "commutes", lambda a, b: real(a, b) != ({a, b} == {x, y})
+        )
+        report = oracle.verify_algebra(2)
+        failing = {c.name: c.details for c in report.checks if not c.passed}
+        assert failing["commutation predicate matches dense commutators"] == (f"{x},{y}",)
+
 
 class TestVerifyDesign:
     def test_canonical_design_passes(self, canonical_design):
