@@ -128,7 +128,11 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class Design:
-    """A fully expanded design; treat all members as immutable."""
+    """A fully expanded design; treat all members as immutable.
+
+    ``assignment`` and ``kinds`` list their keys in the order of
+    ``points`` and ``blocks``.
+    """
 
     m: int
     seeds: tuple
@@ -158,6 +162,17 @@ class Design:
 
 def validate_seeds(seeds):
     """Reject empty, oversized, identity-bearing or dependent seed tuples."""
+    _seed_words(seeds)
+
+
+def _seed_words(seeds):
+    """Validate a seed tuple and return the label word of every coordinate.
+
+    Index x of the result holds the XOR of the seeds that x's set bits
+    select (index 0 holds 0).  The words are filled by doubling, one XOR
+    per coordinate: the seed of bit b gives words[b | x] = words[x] ^ seed
+    for every x below b.
+    """
     m = len(seeds)
     if m not in (1, 2, 3, 4):
         raise SeedError(f"seed count must be between 1 and 4, got {m}")
@@ -167,9 +182,20 @@ def validate_seeds(seeds):
     for i, s in enumerate(seeds, start=1):
         if s.is_identity:
             raise SeedError(f"seed {i} is the identity; seeds must be nonidentity operators")
-    # search minimal XOR-zero subsets, smallest first, then lexicographic
-    for size in range(2, m + 1):
-        for combo in itertools.combinations(range(m), size):
+    words = [0]
+    # the last seed sits at bit 0, the first at bit m - 1
+    for seed in reversed(seeds):
+        value = seed.value
+        words += [w ^ value for w in words]
+    if words.count(0) > 1:
+        _raise_dependent(seeds)
+    return words
+
+
+def _raise_dependent(seeds):
+    # name the first minimal XOR-zero subset, smallest first, then lexicographic
+    for size in range(2, len(seeds) + 1):
+        for combo in itertools.combinations(range(len(seeds)), size):
             acc = 0
             for i in combo:
                 acc ^= seeds[i].value
@@ -184,63 +210,86 @@ def validate_seeds(seeds):
                 )
 
 
-@lru_cache(maxsize=None)
-def _point_set(m):
-    return tuple(Point(v, m) for v in range(1, 1 << m))
-
-
-@lru_cache(maxsize=None)
 def enumerate_blocks(m):
     """All XOR-zero point triples for a supported size."""
     if m not in (2, 3, 4):
         raise DesignError(f"block enumeration is defined for m in 2..4, got {m}")
-    blocks = []
-    points = _point_set(m)
-    for a, b in itertools.combinations(points, 2):
-        c = a.value ^ b.value
-        if c > b.value:
-            blocks.append(Block.of(a, b, Point(c, m)))
-    return tuple(sorted(blocks))
+    return _tables(m).blocks
 
 
-def _classify(ops):
-    a, b, c = ops
-    ab = pauli.commutes(a, b)
-    ac = pauli.commutes(a, c)
-    bc = pauli.commutes(b, c)
-    if ab and ac and bc:
-        return BlockKind.COMMUTING
-    if not (ab or ac or bc):
-        return BlockKind.CYCLIC
-    raise DesignError("block is neither commuting nor cyclic; assignment is not linear")
+@dataclass(frozen=True)
+class _Tables:
+    """What every design of one size shares; only the labels differ.
+
+    ``pairs`` holds the coordinate values of each block's point pairs,
+    three per block in block order: (a, b), (a, c), (b, c).  ``kinds``
+    caches the kinds dict of each commutation pattern of those pairs
+    seen so far.  A linear assignment's commutation is an alternating
+    form on the coordinates, so there are at most 2^(m(m-1)/2) patterns
+    (64 at m=4, of which two-qubit seeds reach 28).
+    """
+
+    points: tuple
+    blocks: tuple
+    pairs: tuple
+    params: DesignParams
+    kinds: dict
+
+
+@lru_cache(maxsize=None)
+def _tables(m):
+    points = tuple(Point(v, m) for v in range(1, 1 << m))
+    blocks = sorted(
+        Block.of(a, b, points[(a.value ^ b.value) - 1])
+        for a, b in itertools.combinations(points, 2)
+        if a.value ^ b.value > b.value
+    )
+    pairs = []
+    for block in blocks:
+        a, b, c = (p.value for p in block.points)
+        pairs += [(a, b), (a, c), (b, c)]
+    return _Tables(points, tuple(blocks), tuple(pairs), DesignParams.from_m(m), {})
+
+
+def _kinds(tables, pattern):
+    """A fresh kinds dict for the commutation pattern of ``tables.pairs``."""
+    kinds = tables.kinds.get(pattern)
+    if kinds is None:
+        kinds = {}
+        for i, block in enumerate(tables.blocks):
+            ab, ac, bc = pattern[3 * i : 3 * i + 3]
+            if ab and ac and bc:
+                kinds[block] = BlockKind.COMMUTING
+            elif not (ab or ac or bc):
+                kinds[block] = BlockKind.CYCLIC
+            else:
+                raise DesignError("block is neither commuting nor cyclic; assignment is not linear")
+        tables.kinds[pattern] = kinds
+    return kinds.copy()
+
+
+def _design(m, seeds, labels):
+    """The size-m design whose point of coordinate x carries labels[x]."""
+    tables = _tables(m)
+    commutes = pauli.commutes
+    pattern = tuple([commutes(labels[x], labels[y]) for x, y in tables.pairs])
+    return Design(
+        m=m,
+        seeds=seeds,
+        points=tables.points,
+        assignment=dict(zip(tables.points, labels[1:])),
+        blocks=tables.blocks,
+        kinds=_kinds(tables, pattern),
+        params=tables.params,
+    )
 
 
 def expand_seeds(seeds):
     """Expand a seed tuple into its full design."""
     seeds = tuple(seeds)
-    validate_seeds(seeds)
-    m = len(seeds)
+    words = _seed_words(seeds)
     width = seeds[0].width
-    points = _point_set(m)
-    assignment = {}
-    for point in points:
-        acc = 0
-        for i, seed in enumerate(seeds):
-            # bit i from the most significant end selects seed i
-            if point.value >> (m - 1 - i) & 1:
-                acc ^= seed.value
-        assignment[point] = pauli.PauliLabel(acc, width)
-    blocks = enumerate_blocks(m) if m >= 2 else ()
-    kinds = {blk: _classify([assignment[p] for p in blk.points]) for blk in blocks}
-    return Design(
-        m=m,
-        seeds=seeds,
-        points=points,
-        assignment=assignment,
-        blocks=blocks,
-        kinds=kinds,
-        params=DesignParams.from_m(m),
-    )
+    return _design(len(seeds), seeds, [pauli.PauliLabel(w, width) for w in words])
 
 
 def classify_block(design, block):
@@ -253,19 +302,8 @@ def fano_subdesign(design):
     """Restriction of a size-4 design to its seven leading-bit-zero points."""
     if design.m != 4:
         raise DesignError(f"fano_subdesign needs m=4, got m={design.m}")
-    sub_points = tuple(Point(p.value, 3) for p in design.points if p.in_plane)
-    assignment = {p: design.assignment[Point(p.value, 4)] for p in sub_points}
-    blocks = enumerate_blocks(3)
-    kinds = {blk: _classify([assignment[p] for p in blk.points]) for blk in blocks}
-    return Design(
-        m=3,
-        seeds=design.seeds[1:],
-        points=sub_points,
-        assignment=assignment,
-        blocks=blocks,
-        kinds=kinds,
-        params=DesignParams.from_m(3),
-    )
+    labels = [None] + [design.assignment[p] for p in design.points if p.in_plane]
+    return _design(3, design.seeds[1:], labels)
 
 
 def display_order(design, block):

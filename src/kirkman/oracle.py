@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import designs, pauli
-from .errors import OracleError
+from .errors import LabelError, OracleError
 from .report import CheckResult, VerificationReport, check_from_failures as _check
 
 __all__ = [
@@ -97,10 +97,29 @@ def dense_of(label):
 
 
 @lru_cache(maxsize=None)
-def _dense_commutes(x, y, width):
-    """True when the dense matrices of the width-bit words x, y commute."""
+def _dense_product(x, y, width):
+    """Dense product of the width-bit words x and y, computed once per process."""
     da, db = (dense_of(pauli.PauliLabel(v, width)).tensor for v in (x, y))
-    return matmul(da, db) == matmul(db, da)
+    return matmul(da, db)
+
+
+class _DenseCommutation(dict):
+    """x << width | y -> whether the dense matrices of words x and y commute."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, key):
+        w = self.width
+        x, y = key >> w, key & ((1 << w) - 1)
+        self[key] = commuting = _dense_product(x, y, w) == _dense_product(y, x, w)
+        return commuting
+
+
+@lru_cache(maxsize=None)
+def _dense_commutation(width):
+    return _DenseCommutation(width)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +138,7 @@ def verify_algebra(n=2):
         raise OracleError("full algebra sweep is supported for n <= 2")
     labels = pauli.all_labels(2 * n)
     dense = {a: dense_of(a) for a in labels}
-    prods = {(a, b): matmul(dense[a].tensor, dense[b].tensor) for a in labels for b in labels}
+    prods = {(a, b): _dense_product(a.value, b.value, a.width) for a in labels for b in labels}
 
     hermit = []
     for a in labels:
@@ -198,12 +217,26 @@ def verify_algebra(n=2):
 # design verification
 # ---------------------------------------------------------------------------
 
+def _read_in_order(mapping, keys):
+    """[mapping[k] for k in keys], without hashing a key when the mapping
+    lists exactly these keys in this order (as a design built by
+    ``designs.expand_seeds`` does)."""
+    if tuple(mapping) == keys:
+        return list(mapping.values())
+    return [mapping[k] for k in keys]
+
+
 def verify_design(design):
-    """Structural checks of a design, independent of how it was built."""
+    """Structural checks of a design, independent of how it was built.
+
+    Labels, counts and kinds are held in int lists indexed by coordinate
+    value, read once from the design.
+    """
     p = design.params
+    m = design.m
     checks = []
 
-    v = (1 << design.m) - 1
+    v = (1 << m) - 1
     param_bad = []
     if p.v != v:
         param_bad.append(f"v={p.v} expected {v}")
@@ -221,69 +254,82 @@ def verify_design(design):
         point_bad.append("points are not exactly the nonzero m-bit words")
     checks.append(_check("point set", point_bad))
 
-    ops = {pt.value: design.assignment[pt].value for pt in design.points}
+    labels = _read_in_order(design.assignment, design.points)
+    triples = [(a.value, b.value, c.value) for a, b, c in (blk.points for blk in design.blocks)]
+    # every coordinate met, and the XOR of any two, indexes these lists
+    size = 1 << max(itertools.chain(values, *triples)).bit_length()
+    ops = [0] * size
+    for x, label in zip(values, labels):
+        ops[x] = label.value
+    distinct = list(dict.fromkeys(values))
+    words = [ops[x] for x in distinct]
     assign_bad = []
-    if 0 in ops.values():
+    if 0 in words:
         assign_bad.append("identity assigned to a point")
-    if len(set(ops.values())) != len(ops):
+    if len(set(words)) != len(words):
         assign_bad.append("assignment is not injective")
     checks.append(_check("assignment is an injection onto nonidentity operators", assign_bad))
 
-    lin_bad = []
-    for x, y in itertools.combinations(values, 2):
-        if ops[x] ^ ops[y] != ops.get(x ^ y, 0):
-            lin_bad.append(f"op({x:0{design.m}b}).op({y:0{design.m}b})")
+    lin_bad = [
+        f"op({x:0{m}b}).op({y:0{m}b})"
+        for x, y in itertools.combinations(values, 2)
+        if ops[x] ^ ops[y] != ops[x ^ y]
+    ]
     checks.append(_check("assignment is XOR-linear", lin_bad))
 
+    kinds = _read_in_order(design.kinds, design.blocks)
+    width = labels[0].width
+    # every word is read at the first label's width, so it must fit there
+    if max(words) >> width:
+        raise LabelError(f"label value {max(words)} does not fit in {width} bits")
+    commute = _dense_commutation(width)
+    commuting_kind, cyclic_kind = designs.BlockKind.COMMUTING, designs.BlockKind.CYCLIC
     block_bad = []
-    pair_count = {}
-    point_count = {val: 0 for val in values}
-    for block in design.blocks:
-        a, b, c = (pt.value for pt in block.points)
+    kind_bad = []
+    pair_count = [0] * (size * size)
+    point_count = [0] * size
+    commuting = 0
+    for block, (a, b, c), kind in zip(design.blocks, triples, kinds):
         if a ^ b ^ c != 0:
             block_bad.append(f"block {block} does not XOR to zero")
-        for x, y in ((a, b), (a, c), (b, c)):
-            pair_count[(x, y)] = pair_count.get((x, y), 0) + 1
-        for x in (a, b, c):
-            point_count[x] += 1
+        pair_count[a * size + b] += 1
+        pair_count[a * size + c] += 1
+        pair_count[b * size + c] += 1
+        point_count[a] += 1
+        point_count[b] += 1
+        point_count[c] += 1
+        a, b, c = ops[a], ops[b], ops[c]
+        ab = commute[a << width | b]
+        ac = commute[a << width | c]
+        bc = commute[b << width | c]
+        if ab and ac and bc:
+            expected = commuting_kind
+            commuting += 1
+        elif not ab and not ac and not bc:
+            expected = cyclic_kind
+        else:
+            kind_bad.append(f"block {block} is neither commuting nor cyclic")
+            continue
+        if kind != expected:
+            kind_bad.append(f"block {block} classified {kind.value}, expected {expected.value}")
     if len(design.blocks) != p.b:
         block_bad.append(f"{len(design.blocks)} blocks, expected {p.b}")
     checks.append(_check("blocks are XOR-zero triples, b of them", block_bad))
 
     pair_bad = []
-    if design.m >= 2:
+    if m >= 2:
         for x, y in itertools.combinations(values, 2):
-            got = pair_count.get((x, y), 0)
+            got = pair_count[x * size + y]
             if got != 1:
-                pair_bad.append(f"pair ({x:0{design.m}b},{y:0{design.m}b}) covered {got} times")
+                pair_bad.append(f"pair ({x:0{m}b},{y:0{m}b}) covered {got} times")
     checks.append(_check("every point pair lies in exactly one block (lambda=1)", pair_bad))
 
-    rep_bad = [
-        f"point {x:0{design.m}b} replication {n}" for x, n in point_count.items() if n != p.r
-    ]
+    rep_bad = [f"point {x:0{m}b} replication {point_count[x]}" for x in distinct if point_count[x] != p.r]
     checks.append(_check("every point has replication r", rep_bad))
 
-    kind_bad = []
-    commuting = 0
-    width = design.assignment[design.points[0]].width
-    for block in design.blocks:
-        a, b, c = (ops[pt.value] for pt in block.points)
-        ab = _dense_commutes(a, b, width)
-        ac = _dense_commutes(a, c, width)
-        bc = _dense_commutes(b, c, width)
-        if ab and ac and bc:
-            expected = designs.BlockKind.COMMUTING
-            commuting += 1
-        elif not ab and not ac and not bc:
-            expected = designs.BlockKind.CYCLIC
-        else:
-            kind_bad.append(f"block {block} is neither commuting nor cyclic")
-            continue
-        if design.kinds[block] != expected:
-            kind_bad.append(f"block {block} classified {design.kinds[block].value}, expected {expected.value}")
     expected_counts = {3: (3, 4), 4: (15, 20)}
-    if design.m in expected_counts:
-        want_comm, want_cyc = expected_counts[design.m]
+    if m in expected_counts:
+        want_comm, want_cyc = expected_counts[m]
         cyclic = len(design.blocks) - commuting
         if (commuting, cyclic) != (want_comm, want_cyc):
             kind_bad.append(f"classification counts {commuting}/{cyclic}, expected {want_comm}/{want_cyc}")

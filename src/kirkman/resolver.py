@@ -150,12 +150,18 @@ def _exact_covers(n_items, options):
 
 def _spread_covers(design):
     """Every spread as an ascending tuple of block indices, in ascending order."""
-    options = [[] for _ in design.points]
-    for index, block in enumerate(design.blocks):
+    return _spreads_of(design.blocks, len(design.points))
+
+
+@lru_cache(maxsize=16)
+def _spreads_of(blocks, n_points):
+    # spreads depend on coordinates only, so designs sharing a block tuple share them
+    options = [[] for _ in range(n_points)]
+    for index, block in enumerate(blocks):
         mask = sum(1 << (p.value - 1) for p in block.points)
         for p in block.points:
             options[p.value - 1].append((index, mask))
-    return _exact_covers(len(design.points), options)
+    return tuple(_exact_covers(n_points, options))
 
 
 def match_days(design):

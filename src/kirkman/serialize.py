@@ -10,9 +10,10 @@ so a tampered document is rejected rather than trusted.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from . import pauli
-from .designs import expand_seeds
+from .designs import enumerate_blocks, expand_seeds
 from .errors import DocumentError, KirkmanError
 from .resolver import DAY_DISPLAY_ORDER, DayLabel, ParallelClass, Resolution, all_days, validate_resolution
 
@@ -104,10 +105,14 @@ def _check_points(doc, design):
         entry = pauli.dictionary(label)
         recorded = (row.get("q"), row.get("o"), row.get("color"), row.get("note"))
         actual = (label.q_index, entry.o_index, entry.color, entry.note)
-        _require(
-            all(map(_exact, recorded, actual)),
-            f"point ({point.bits}) records {recorded}, but the seeds give {actual}",
-        )
+        if not all(map(_exact, recorded, actual)):
+            raise DocumentError(f"point ({point.bits}) records {recorded}, but the seeds give {actual}")
+
+
+@lru_cache(maxsize=None)
+def _coordinate_rows(m):
+    """The block list of a size-m document: each block's coordinate strings."""
+    return tuple(tuple(p.bits for p in blk.points) for blk in (enumerate_blocks(m) if m >= 2 else ()))
 
 
 def _check_blocks(doc, design):
@@ -119,19 +124,16 @@ def _check_blocks(doc, design):
         len(blocks_field) == len(design.blocks) == len(kinds_field),
         f"expected {len(design.blocks)} blocks and kinds",
     )
-    for row, blk, kind in zip(blocks_field, design.blocks, kinds_field):
-        _require(
-            isinstance(row, list) and len(row) == 3,
-            f"block entry {row!r} is not a coordinate triple",
-        )
-        _require(
-            tuple(row) == tuple(p.bits for p in blk.points),
-            f"block list diverges from the canonical enumeration at {row}",
-        )
-        _require(
-            kind == design.kinds[blk].value,
-            f"block {blk} records kind {kind!r}, but the operators give {design.kinds[blk].value!r}",
-        )
+    # the design was expanded from the seeds, so its kinds follow its blocks;
+    # messages are formatted only on failure
+    rows = zip(blocks_field, _coordinate_rows(design.m), design.blocks, kinds_field, design.kinds.values())
+    for row, coords, blk, kind, actual in rows:
+        if not (isinstance(row, list) and len(row) == 3):
+            raise DocumentError(f"block entry {row!r} is not a coordinate triple")
+        if tuple(row) != coords:
+            raise DocumentError(f"block list diverges from the canonical enumeration at {row}")
+        if kind != actual.value:
+            raise DocumentError(f"block {blk} records kind {kind!r}, but the operators give {actual.value!r}")
 
 
 def _rebuild_resolution(doc, design):

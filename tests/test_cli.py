@@ -217,6 +217,37 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             serialize.load_document(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set(("blocks", 3), ["0001", "1000"]), "block entry ['0001', '1000'] is not a coordinate triple"),
+            (_set(("blocks", 0), "0001"), "block entry '0001' is not a coordinate triple"),
+            (
+                _set(("blocks", 6), ["1110", "0001", "1111"]),
+                "block list diverges from the canonical enumeration at ['1110', '0001', '1111']",
+            ),
+            (
+                _set(("kinds", 9), "commuting"),
+                "block {(0010), (1000), (1010)} records kind 'commuting', but the operators give 'cyclic'",
+            ),
+            (
+                _set(("kinds", 2), None),
+                "block {(0001), (0110), (0111)} records kind None, but the operators give 'commuting'",
+            ),
+            (
+                _set(("points", 4, "q"), 2),
+                "point (0101) records (2, 3, 'B3', 'A♭'), but the seeds give (1, 3, 'B3', 'A♭')",
+            ),
+            (_set(("points", 2, "coord"), "0100"), "point order mismatch at (0100)"),
+        ],
+    )
+    def test_rejection_messages_are_pinned(self, canonical_design, tmp_path, edit, message):
+        path = tmp_path / "design.json"
+        save_tampered(path, canonical_design, None, edit)
+        with pytest.raises(DocumentError) as err:
+            serialize.load_document(path)
+        assert str(err.value) == message
+
     def test_tampered_day_is_rejected(self, canonical_design, lex_resolution, tmp_path):
         path = tmp_path / "resolved.json"
         serialize.save_document(path, canonical_design, lex_resolution)

@@ -1,8 +1,10 @@
 """Design expansion, validation, classification, geometry."""
 
+import hashlib
+
 import pytest
 
-from kirkman import designs, pauli
+from kirkman import designs, oracle, pauli
 from kirkman.errors import DependentSeedsError, DesignError, RenderError, SeedError
 
 # point -> (Q, O, color, note) for the running example, corner points on
@@ -24,6 +26,12 @@ CANONICAL_MAP = {
     "1110": (2, 10, "G1", "A"),
     "1111": (9, 8, "G3", "C♯"),
 }
+
+# sha256 over the designs of all 20160 tuples of oracle.independent_tuples(4),
+# in that order: each design's label words in point order as bytes, then its
+# kind values in block order, comma-joined, and a newline; recorded from the
+# expansion that classified each block through a Block-keyed dict
+CENSUS_SHA256 = "338986901f6f177a7f18f7c17e69b04a04f65ed993a4e0a3d1509f7b28799da3"
 
 
 class TestParams:
@@ -76,6 +84,24 @@ class TestSeedValidation:
         with pytest.raises(SeedError):
             designs.validate_seeds((pauli.q_label(3), pauli.PauliLabel(1, 2)))
 
+    @pytest.mark.parametrize(
+        "qs, positions, shown",
+        [
+            ((3, 5, 6, 9), (1, 2, 3), "[0011], [0101], [0110]"),
+            ((12, 3, 10, 9), (2, 3, 4), "[0011], [1010], [1001]"),
+            ((7, 9, 14, 7), (1, 4), "[0111], [0111]"),
+        ],
+    )
+    def test_dependency_is_reported_as_pinned(self, qs, positions, shown):
+        seeds = tuple(pauli.q_label(q) for q in qs)
+        with pytest.raises(DependentSeedsError) as err:
+            designs.expand_seeds(seeds)
+        assert str(err.value) == (
+            f"seeds are GF(2)-dependent: positions {positions} ({shown}) multiply to the identity"
+        )
+        assert err.value.positions == positions
+        assert err.value.labels == tuple(seeds[i - 1] for i in positions)
+
 
 class TestExpansion:
     def test_canonical_mapping(self, canonical_design):
@@ -113,6 +139,39 @@ class TestExpansion:
         assert d.blocks == ()
         assert d.params == designs.DesignParams(1, 0, 0, 1, 1)
         assert d.describe() == "D(1,1,1)|Q7>"
+
+    def test_every_design_is_pinned(self):
+        digest = hashlib.sha256()
+        patterns = set()
+        for values in oracle.independent_tuples(4):
+            design = designs.expand_seeds(tuple(pauli.PauliLabel(v, 4) for v in values))
+            kinds = ",".join(design.kinds[b].value for b in design.blocks)
+            digest.update(bytes(design.assignment[p].value for p in design.points))
+            digest.update(kinds.encode() + b"\n")
+            patterns.add(kinds)
+        assert digest.hexdigest() == CENSUS_SHA256
+        # |GL(4,2)| / |Sp(4,2)| = 20160 / 720 kind patterns
+        assert len(patterns) == 28
+
+    def test_each_design_owns_its_kinds(self, canonical_design):
+        twin = designs.expand_seeds(canonical_design.seeds)
+        assert twin.kinds == canonical_design.kinds
+        assert twin.kinds is not canonical_design.kinds
+        block = twin.blocks[0]
+        before = canonical_design.kinds[block]
+        twin.kinds[block] = next(kind for kind in designs.BlockKind if kind != before)
+        assert canonical_design.kinds[block] is before
+        assert designs.expand_seeds(canonical_design.seeds).kinds[block] is before
+
+    def test_mixed_block_is_rejected(self, monkeypatch):
+        # Z on each of three qubits, so every pair commutes; the pair at points
+        # (010) and (001) is made to read otherwise, which mixes block {(001), (010), (011)}
+        seeds = tuple(pauli.PauliLabel(1 << i, 6) for i in (4, 2, 0))
+        odd = {seeds[1].value, seeds[2].value}
+        real = pauli.commutes
+        monkeypatch.setattr(pauli, "commutes", lambda x, y: real(x, y) and {x.value, y.value} != odd)
+        with pytest.raises(DesignError, match="neither commuting nor cyclic"):
+            designs.expand_seeds(seeds)
 
     def test_label_at_and_point_of(self, canonical_design):
         p = designs.Point.from_bits("0111")

@@ -1,12 +1,13 @@
 """Dense oracle fixtures and the exhaustive verifiers."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from kirkman import designs, oracle, pauli
-from kirkman.errors import OracleError
+from kirkman.errors import LabelError, OracleError
 
 
 def normalized(op):
@@ -80,8 +81,22 @@ class TestVerifyAlgebra:
             return real(a, b)
 
         monkeypatch.setattr(oracle, "matmul", counted)
-        oracle._dense_commutes.cache_clear()
+        oracle._dense_product.cache_clear()
         assert oracle.verify_algebra(2).passed
+        assert len(calls) == 15 * 15
+
+    def test_design_check_reuses_the_algebra_products(self, canonical_design, monkeypatch):
+        real, calls = oracle.matmul, []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(oracle, "matmul", counted)
+        oracle._dense_product.cache_clear()
+        oracle._dense_commutation.cache_clear()
+        assert oracle.verify_algebra(2).passed
+        assert oracle.verify_design(canonical_design).passed
         assert len(calls) == 15 * 15
 
     def test_wrong_commutation_predicate_is_reported(self, monkeypatch):
@@ -129,6 +144,19 @@ class TestVerifyDesign:
         assert [c.name for c in failing] == ["block classification"]
         assert any(str(block) in line for line in failing[0].details)
 
+    def test_block_without_a_kind_raises(self, canonical_design):
+        kinds = dict(canonical_design.kinds)
+        del kinds[canonical_design.blocks[4]]
+        with pytest.raises(KeyError):
+            oracle.verify_design(dataclasses.replace(canonical_design, kinds=kinds))
+
+    def test_label_wider_than_the_first_raises(self, canonical_design):
+        # the dense check reads every label at the first label's width
+        assignment = dict(canonical_design.assignment)
+        assignment[designs.Point.from_bits("0110")] = pauli.PauliLabel(0b100001, 6)
+        with pytest.raises(LabelError, match="label value 33 does not fit in 4 bits"):
+            oracle.verify_design(dataclasses.replace(canonical_design, assignment=assignment))
+
     @pytest.mark.parametrize("name", ["canonical_design", "fano_design"])
     def test_block_classification_ignores_the_label_algebra(self, name, request, monkeypatch):
         design = request.getfixturevalue(name)
@@ -138,9 +166,130 @@ class TestVerifyDesign:
 
         monkeypatch.setattr(pauli, "commutes", forbidden)
         monkeypatch.setattr(pauli, "product", forbidden)
-        oracle._dense_commutes.cache_clear()
+        oracle._dense_product.cache_clear()
+        oracle._dense_commutation.cache_clear()
         report = oracle.verify_design(design)
         assert report.passed, report.text()
+
+
+def swap_two_labels(design):
+    assignment = dict(design.assignment)
+    p, q = designs.Point.from_bits("0001"), designs.Point.from_bits("0110")
+    assignment[p], assignment[q] = assignment[q], assignment[p]
+    return dataclasses.replace(design, assignment=assignment)
+
+
+def flip_one_kind(design):
+    kinds = dict(design.kinds)
+    block = design.blocks[5]
+    kinds[block] = next(kind for kind in designs.BlockKind if kind != kinds[block])
+    return dataclasses.replace(design, kinds=kinds)
+
+
+def duplicate_a_block(design):
+    blocks = list(design.blocks)
+    blocks[7] = blocks[3]
+    return dataclasses.replace(design, blocks=tuple(blocks))
+
+
+def break_linearity(design):
+    assignment = dict(design.assignment)
+    assignment[designs.Point.from_bits("0011")] = pauli.q_label(5)
+    return dataclasses.replace(design, assignment=assignment)
+
+
+TAMPERS = {
+    "swapped": swap_two_labels,
+    "flipped": flip_one_kind,
+    "dup": duplicate_a_block,
+    "nonlin": break_linearity,
+}
+
+# verify_design's report on each tampered canonical design, recorded from
+# the oracle that kept its labels in dicts keyed by coordinate pairs
+TAMPERED_REPORTS = {
+    'swapped': (
+        'verification: D(15,3,1)|Q12,Q10,Q4,Q11>\n'
+        '  ok   parameters satisfy (2^m - 1, 3, 1) arithmetic\n'
+        '  ok   point set\n'
+        '  ok   assignment is an injection onto nonidentity operators\n'
+        '  FAIL assignment is XOR-linear (op(0001).op(0010); op(0001).op(0011); op(0001).op(0100); op(0001).op(0101); op(0001).op(1000); ... 31 more)\n'
+        '  ok   blocks are XOR-zero triples, b of them\n'
+        '  ok   every point pair lies in exactly one block (lambda=1)\n'
+        '  ok   every point has replication r\n'
+        '  FAIL block classification (block {(0001), (1000), (1001)} is neither commuting nor cyclic; block {(0001), (1010), (1011)} is neither commuting nor cyclic; block {(0001), (1100), (1101)} is neither commuting nor cyclic; block {(0001), (1110), (1111)} is neither commuting nor cyclic; block {(0110), (1000), (1110)} is neither commuting nor cyclic; ... 4 more)\n'
+        '  => FAIL'
+    ),
+    'flipped': (
+        'verification: D(15,3,1)|Q12,Q10,Q4,Q11>\n'
+        '  ok   parameters satisfy (2^m - 1, 3, 1) arithmetic\n'
+        '  ok   point set\n'
+        '  ok   assignment is an injection onto nonidentity operators\n'
+        '  ok   assignment is XOR-linear\n'
+        '  ok   blocks are XOR-zero triples, b of them\n'
+        '  ok   every point pair lies in exactly one block (lambda=1)\n'
+        '  ok   every point has replication r\n'
+        '  FAIL block classification (block {(0001), (1100), (1101)} classified cyclic, expected commuting)\n'
+        '  => FAIL'
+    ),
+    'dup': (
+        'verification: D(15,3,1)|Q12,Q10,Q4,Q11>\n'
+        '  ok   parameters satisfy (2^m - 1, 3, 1) arithmetic\n'
+        '  ok   point set\n'
+        '  ok   assignment is an injection onto nonidentity operators\n'
+        '  ok   assignment is XOR-linear\n'
+        '  ok   blocks are XOR-zero triples, b of them\n'
+        '  FAIL every point pair lies in exactly one block (lambda=1) (pair (0001,1000) covered 2 times; pair (0001,1001) covered 2 times; pair (0010,0100) covered 0 times; pair (0010,0110) covered 0 times; pair (0100,0110) covered 0 times; ... 1 more)\n'
+        '  FAIL every point has replication r (point 0001 replication 8; point 0010 replication 6; point 0100 replication 6; point 0110 replication 6; point 1000 replication 8; ... 1 more)\n'
+        '  ok   block classification\n'
+        '  => FAIL'
+    ),
+    'nonlin': (
+        'verification: D(15,3,1)|Q12,Q10,Q4,Q11>\n'
+        '  ok   parameters satisfy (2^m - 1, 3, 1) arithmetic\n'
+        '  ok   point set\n'
+        '  FAIL assignment is an injection onto nonidentity operators (assignment is not injective)\n'
+        '  FAIL assignment is XOR-linear (op(0001).op(0010); op(0001).op(0011); op(0010).op(0011); op(0011).op(0100); op(0011).op(0101); ... 16 more)\n'
+        '  ok   blocks are XOR-zero triples, b of them\n'
+        '  ok   every point pair lies in exactly one block (lambda=1)\n'
+        '  ok   every point has replication r\n'
+        '  FAIL block classification (block {(0001), (0010), (0011)} is neither commuting nor cyclic; block {(0011), (0101), (0110)} is neither commuting nor cyclic; block {(0011), (1000), (1011)} is neither commuting nor cyclic; block {(0011), (1100), (1111)} is neither commuting nor cyclic; classification counts 13/22, expected 15/20)\n'
+        '  => FAIL'
+    ),
+}
+
+
+class TestTamperedReports:
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_report_text_is_pinned(self, canonical_design, name):
+        report = oracle.verify_design(TAMPERS[name](canonical_design))
+        assert report.text() == TAMPERED_REPORTS[name]
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_report_ignores_the_label_algebra(self, canonical_design, name, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("verify_design called the label algebra")
+
+        monkeypatch.setattr(pauli, "commutes", forbidden)
+        monkeypatch.setattr(pauli, "product", forbidden)
+        oracle._dense_product.cache_clear()
+        oracle._dense_commutation.cache_clear()
+        assert oracle.verify_design(TAMPERS[name](canonical_design)).text() == TAMPERED_REPORTS[name]
+
+    def test_reordered_maps_give_the_same_report(self, canonical_design):
+        # the oracle reads kinds and labels by key, whatever the dicts' order
+        for name, tamper in TAMPERS.items():
+            design = tamper(canonical_design)
+            shuffled = dataclasses.replace(
+                design,
+                assignment=dict(reversed(design.assignment.items())),
+                kinds=dict(reversed(design.kinds.items())),
+            )
+            assert oracle.verify_design(shuffled).text() == TAMPERED_REPORTS[name]
+
+    def test_oracle_uses_no_table_of_designs(self):
+        source = inspect.getsource(oracle)
+        assert "designs._" not in source and "from .designs import" not in source
 
 
 class TestSeedCensus:

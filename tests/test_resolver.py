@@ -192,6 +192,23 @@ class TestSpreads:
         for day in resolver.all_days():
             assert tuple(sorted(lex_resolution.classes[day].blocks)) in spreads
 
+    def test_spreads_are_searched_once_per_block_tuple(self, canonical_design, monkeypatch):
+        real, searches = resolver._exact_covers, []
+
+        def counted(n_items, options):
+            searches.append(n_items)
+            return real(n_items, options)
+
+        monkeypatch.setattr(resolver, "_exact_covers", counted)
+        resolver._spreads_of.cache_clear()
+        first = resolver.enumerate_spreads(canonical_design)
+        assert searches == [15]
+        other = designs.expand_seeds(tuple(pauli.PauliLabel(v, 4) for v in INDEPENDENT_4_TUPLES[-1]))
+        assert spreads_text(resolver.enumerate_spreads(other)) == spreads_text(first)
+        assert searches == [15]
+        # resolve runs the matching and the week search, not the spread search
+        resolver.resolve(canonical_design)
+        assert searches == [15, 14, 42]
 
     def test_packing_census(self, canonical_design):
         # a packing of PG(3,2) is a set of 7 spreads partitioning the 35 blocks
