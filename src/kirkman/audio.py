@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pauli
 from .designs import display_order
 from .errors import SynthesisError
+from .record import Record, freeze
 from .resolver import DAY_DISPLAY_ORDER
 
 __all__ = [
@@ -61,16 +61,15 @@ _MAX_SAMPLES = 1 << 25
 _PCM_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class NoteLabel:
+class NoteLabel(Record):
     """A letter A..E with a flat/natural/sharp signature; 15 distinct pitches."""
 
-    letter: str
-    signature: str
+    __slots__ = ("letter", "signature")
 
-    def __post_init__(self):
-        if self.letter not in _LETTERS or self.signature not in _SIGNATURES:
-            raise SynthesisError(f"invalid note {self.letter!r}/{self.signature!r}")
+    def __init__(self, letter, signature):
+        if letter not in _LETTERS or signature not in _SIGNATURES:
+            raise SynthesisError(f"invalid note {letter!r}/{signature!r}")
+        freeze(self, letter, signature)
 
     @classmethod
     def parse(cls, text):
@@ -113,22 +112,21 @@ def note_of(label):
     return NoteLabel.parse(pauli.dictionary(label).note)
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Record):
     """A tonic frequency and 15 ascending rational ratios in [1, 2)."""
 
-    tonic: float
-    ratios: tuple
+    __slots__ = ("tonic", "ratios")
 
-    def __post_init__(self):
-        if self.tonic <= 0:
-            raise SynthesisError(f"tonic must be positive, got {self.tonic}")
-        if len(self.ratios) != 15 or len(set(self.ratios)) != 15:
+    def __init__(self, tonic, ratios):
+        if tonic <= 0:
+            raise SynthesisError(f"tonic must be positive, got {tonic}")
+        if len(ratios) != 15 or len(set(ratios)) != 15:
             raise SynthesisError("a scale needs 15 distinct ratios")
-        if list(self.ratios) != sorted(self.ratios):
+        if list(ratios) != sorted(ratios):
             raise SynthesisError("scale ratios must ascend")
-        if not all(1 <= r < 2 for r in self.ratios):
+        if not all(1 <= r < 2 for r in ratios):
             raise SynthesisError("scale ratios must lie in [1, 2)")
+        freeze(self, tonic, ratios)
 
     @property
     def frequencies(self):
@@ -197,43 +195,38 @@ def chord_sequence(design, resolution=None, matching=None):
     raise SynthesisError("a single-point design has no chords")
 
 
-@dataclass(frozen=True)
-class WindowParams:
+class WindowParams(Record):
     """Gaussian window width and hop; hop must keep chord onsets apart."""
 
-    hop: float = 0.8
-    sigma: float = 0.12
+    __slots__ = ("hop", "sigma")
 
-    def __post_init__(self):
-        if not (0 < self.hop < math.inf and 0 < self.sigma < math.inf):
+    def __init__(self, hop=0.8, sigma=0.12):
+        if not (0 < hop < math.inf and 0 < sigma < math.inf):
             raise SynthesisError("hop and sigma must be positive and finite")
         # the window must fall below 1% of peak by the next-but-one onset;
         # the squared ratio goes to inf, not OverflowError, for a huge hop
-        ratio = self.hop / self.sigma
+        ratio = hop / sigma
         if math.exp(-2.0 * ratio * ratio) >= 0.01:
             raise SynthesisError(
-                f"hop {self.hop} s is too short for sigma {self.sigma} s; "
+                f"hop {hop} s is too short for sigma {sigma} s; "
                 "chord onsets would not be separable"
             )
+        freeze(self, hop, sigma)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    sample_rate: int = 44100
-    bit_depth: int = 16
-    channels: int = 1
-    note_amplitude: float = 1.0 / 3.0
-    peak_ceiling: float = 0.9
+class SynthConfig(Record):
+    __slots__ = ("sample_rate", "bit_depth", "channels", "note_amplitude", "peak_ceiling")
 
-    def __post_init__(self):
-        if self.sample_rate <= 0:
+    def __init__(self, sample_rate=44100, bit_depth=16, channels=1, note_amplitude=1.0 / 3.0, peak_ceiling=0.9):
+        if sample_rate <= 0:
             raise SynthesisError("sample rate must be positive")
-        if self.bit_depth != 16 or self.channels != 1:
+        if bit_depth != 16 or channels != 1:
             raise SynthesisError("only 16-bit mono output is supported")
-        if not 0 < self.peak_ceiling < 1:
+        if not 0 < peak_ceiling < 1:
             raise SynthesisError("peak ceiling must sit below full scale")
-        if self.note_amplitude <= 0:
+        if note_amplitude <= 0:
             raise SynthesisError("per-note amplitude must be positive")
+        freeze(self, sample_rate, bit_depth, channels, note_amplitude, peak_ceiling)
 
 
 def buffer_length(chord_count, window, config):
@@ -344,8 +337,7 @@ def scale_listing(scale):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SlotSpectrum:
+class SlotSpectrum(Record):
     """One chord slot of a spectral report.
 
     ``amplitudes`` are the fitted amplitudes of the 15 scale frequencies
@@ -354,20 +346,17 @@ class SlotSpectrum:
     one; ``residual`` is the share of the segment's energy the fit leaves.
     """
 
-    index: int
-    expected_hz: tuple
-    expected_bins: tuple
-    peak_bins: tuple
-    amplitudes: tuple
-    margin: float
-    residual: float
-    passed: bool
+    __slots__ = ("index", "expected_hz", "expected_bins", "peak_bins", "amplitudes", "margin", "residual", "passed")
+
+    def __init__(self, index, expected_hz, expected_bins, peak_bins, amplitudes, margin, residual, passed):
+        freeze(self, index, expected_hz, expected_bins, peak_bins, amplitudes, margin, residual, passed)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    bin_hz: float
-    slots: tuple
+class SpectralReport(Record):
+    __slots__ = ("bin_hz", "slots")
+
+    def __init__(self, bin_hz, slots):
+        freeze(self, bin_hz, slots)
 
     @property
     def passed(self):

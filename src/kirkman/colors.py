@@ -13,10 +13,9 @@ input yields byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import designs, pauli
 from .errors import RenderError
+from .record import OrderedRecord, Record, freeze, set_field, set_key
 from .resolver import DAY_DISPLAY_ORDER
 
 __all__ = [
@@ -46,14 +45,15 @@ FLAVOR_SV = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class ColorLabel:
-    chroma: str
-    flavor: int
+class ColorLabel(OrderedRecord):
+    __slots__ = ("chroma", "flavor")
 
-    def __post_init__(self):
-        if self.chroma not in CHROMA_HUE or self.flavor not in FLAVOR_SV:
-            raise RenderError(f"invalid color label {self.chroma}{self.flavor}")
+    def __init__(self, chroma, flavor):
+        if chroma not in CHROMA_HUE or flavor not in FLAVOR_SV:
+            raise RenderError(f"invalid color label {chroma}{flavor}")
+        set_field(self, "chroma", chroma)
+        set_field(self, "flavor", flavor)
+        set_key(self, (chroma, flavor))
 
     @classmethod
     def parse(cls, code):
@@ -70,11 +70,14 @@ class ColorLabel:
         return self.text
 
 
-@dataclass(frozen=True)
-class HsvColor:
-    hue: float
-    saturation: float
-    value: float
+class HsvColor(Record):
+    __slots__ = ("hue", "saturation", "value")
+
+    def __init__(self, hue, saturation, value):
+        set_field(self, "hue", hue)
+        set_field(self, "saturation", saturation)
+        set_field(self, "value", value)
+        set_key(self, (hue, saturation, value))
 
 
 def color_of(label):
@@ -129,16 +132,13 @@ def row_color_class(colors):
 # SVG generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TilingSpec:
+class TilingSpec(Record):
     """Tile geometry in user units plus grouping gaps."""
 
-    tile_width: float = 42.0
-    tile_height: float = 42.0
-    row_gap: float = 6.0
-    group_gap: float = 26.0
-    margin: float = 12.0
-    labels: bool = True
+    __slots__ = ("tile_width", "tile_height", "row_gap", "group_gap", "margin", "labels")
+
+    def __init__(self, tile_width=42.0, tile_height=42.0, row_gap=6.0, group_gap=26.0, margin=12.0, labels=True):
+        freeze(self, tile_width, tile_height, row_gap, group_gap, margin, labels)
 
 
 def _f(value):

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pauli
 from .errors import DependentSeedsError, DesignError, RenderError, SeedError
+from .record import OrderedRecord, Record, freeze, set_field, set_key
 
 __all__ = [
     "Point",
@@ -39,18 +39,19 @@ __all__ = [
 LAYOUTS = ("triangle", "cube", "tetrahedron")
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(OrderedRecord):
     """An m-bit design coordinate (never an operator label)."""
 
-    value: int
-    width: int
+    __slots__ = ("value", "width")
 
-    def __post_init__(self):
-        if self.width <= 0:
-            raise DesignError(f"point width must be positive, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise DesignError(f"point value {self.value} does not fit in {self.width} bits")
+    def __init__(self, value, width):
+        if width <= 0:
+            raise DesignError(f"point width must be positive, got {width}")
+        if not 0 <= value < (1 << width):
+            raise DesignError(f"point value {value} does not fit in {width} bits")
+        set_field(self, "value", value)
+        set_field(self, "width", width)
+        set_key(self, (value, width))
 
     @classmethod
     def from_bits(cls, bits):
@@ -73,11 +74,14 @@ class Point:
         return f"({self.bits})"
 
 
-@dataclass(frozen=True, order=True)
-class Block:
+class Block(OrderedRecord):
     """Three distinct points whose coordinates XOR to zero."""
 
-    points: tuple
+    __slots__ = ("points",)
+
+    def __init__(self, points):
+        set_field(self, "points", points)
+        set_key(self, (points,))
 
     @classmethod
     def of(cls, a, b, c):
@@ -103,13 +107,11 @@ class BlockKind(enum.Enum):
     CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    v: int
-    b: int
-    r: int
-    k: int
-    lam: int
+class DesignParams(Record):
+    __slots__ = ("v", "b", "r", "k", "lam")
+
+    def __init__(self, v, b, r, k, lam):
+        freeze(self, v, b, r, k, lam)
 
     @classmethod
     def from_m(cls, m):
@@ -126,21 +128,24 @@ class DesignParams:
         return cls.from_m(m)
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Record):
     """A fully expanded design; treat all members as immutable.
 
-    ``assignment`` and ``kinds`` list their keys in the order of
-    ``points`` and ``blocks``.
+    ``assignment`` and ``kinds`` are dicts listing their keys in the order
+    of ``points`` and ``blocks``.
     """
 
-    m: int
-    seeds: tuple
-    points: tuple
-    assignment: dict
-    blocks: tuple
-    kinds: dict
-    params: DesignParams
+    __slots__ = ("m", "seeds", "points", "assignment", "blocks", "kinds", "params")
+
+    def __init__(self, m, seeds, points, assignment, blocks, kinds, params):
+        set_field(self, "m", m)
+        set_field(self, "seeds", seeds)
+        set_field(self, "points", points)
+        set_field(self, "assignment", assignment)
+        set_field(self, "blocks", blocks)
+        set_field(self, "kinds", kinds)
+        set_field(self, "params", params)
+        set_key(self, (m, seeds, points, assignment, blocks, kinds, params))
 
     def label_at(self, point):
         try:
@@ -217,8 +222,7 @@ def enumerate_blocks(m):
     return _tables(m).blocks
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(Record):
     """What every design of one size shares; only the labels differ.
 
     ``pairs`` holds the coordinate values of each block's point pairs,
@@ -229,11 +233,10 @@ class _Tables:
     (64 at m=4, of which two-qubit seeds reach 28).
     """
 
-    points: tuple
-    blocks: tuple
-    pairs: tuple
-    params: DesignParams
-    kinds: dict
+    __slots__ = ("points", "blocks", "pairs", "params", "kinds")
+
+    def __init__(self, points, blocks, pairs, params, kinds):
+        freeze(self, points, blocks, pairs, params, kinds)
 
 
 @lru_cache(maxsize=None)
@@ -330,14 +333,17 @@ def display_order(design, block):
 # drawing coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """A drawing position for a point; duplicates share the same point."""
 
-    point: Point
-    x: float
-    y: float
-    primary: bool = True
+    __slots__ = ("point", "x", "y", "primary")
+
+    def __init__(self, point, x, y, primary=True):
+        set_field(self, "point", point)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "primary", primary)
+        set_key(self, (point, x, y, primary))
 
 
 _TRI_VERTICES = {

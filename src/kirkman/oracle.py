@@ -13,12 +13,11 @@ tolerance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import designs, pauli
 from .errors import LabelError, OracleError
+from .record import Record, freeze
 from .report import CheckResult, VerificationReport, check_from_failures as _check
 
 __all__ = [
@@ -77,17 +76,24 @@ def _trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
-@dataclass(frozen=True)
-class DenseOp:
+class DenseOp(Record):
     """A label with its unnormalized tensor matrix and separate weight."""
 
-    label: pauli.PauliLabel
-    tensor: tuple
-    weight: Fraction
+    __slots__ = ("label", "tensor", "weight")
+
+    def __init__(self, label, tensor, weight):
+        freeze(self, label, tensor, weight)
 
 
 def dense_of(label):
     """Kronecker-product matrix of a label, capped at four qubits."""
+    return _dense(label.value, label.width)
+
+
+@lru_cache(maxsize=None)
+def _dense(word, width):
+    """The DenseOp of a width-bit word, built once per process."""
+    label = pauli.PauliLabel(word, width)
     if label.qubits > 4:
         raise OracleError(f"dense oracle capped at 4 qubits, got {label.qubits}")
     matrix = ((1,),)
@@ -99,8 +105,7 @@ def dense_of(label):
 @lru_cache(maxsize=None)
 def _dense_product(x, y, width):
     """Dense product of the width-bit words x and y, computed once per process."""
-    da, db = (dense_of(pauli.PauliLabel(v, width)).tensor for v in (x, y))
-    return matmul(da, db)
+    return matmul(_dense(x, width).tensor, _dense(y, width).tensor)
 
 
 class _DenseCommutation(dict):
@@ -176,11 +181,10 @@ def verify_algebra(n=2):
                 continue
             imag, c = pauli.commutator_of_labels(a, b)
             lhs = _sub(prods[a, b], prods[b, a])
-            wa, wb = pauli.weight_of(a), pauli.weight_of(b)
             if c is None:
                 ok = all(x == 0 for row in lhs for x in row)
             else:
-                scale = complex(imag * pauli.weight_of(c) / (wa * wb)) * 1j
+                scale = complex(imag * dense[c].weight / (dense[a].weight * dense[b].weight)) * 1j
                 ok = lhs == _scaled(dense[c].tensor, scale)
             if not ok:
                 cof_bad.append(f"[{a},{b}]")

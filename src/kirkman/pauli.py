@@ -25,12 +25,12 @@ The fifteen two-qubit operators additionally carry a dictionary row
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 from .errors import LabelError
+from .record import OrderedRecord, Record, freeze, set_field, set_key
 
 __all__ = [
     "PauliLabel",
@@ -62,18 +62,19 @@ _PHASE = (0, 0, 0, 0, 0, 0, 3, 1, 0, 1, 0, 3, 0, 3, 1, 0)
 O_INDICES = tuple(range(2, 17))
 
 
-@dataclass(frozen=True, order=True)
-class PauliLabel:
+class PauliLabel(OrderedRecord):
     """A 2n-bit binary word addressing one n-qubit Pauli tensor."""
 
-    value: int
-    width: int
+    __slots__ = ("value", "width")
 
-    def __post_init__(self):
-        if self.width <= 0 or self.width % 2:
-            raise LabelError(f"label width must be positive and even, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise LabelError(f"label value {self.value} does not fit in {self.width} bits")
+    def __init__(self, value, width):
+        if width <= 0 or width % 2:
+            raise LabelError(f"label width must be positive and even, got {width}")
+        if not 0 <= value < (1 << width):
+            raise LabelError(f"label value {value} does not fit in {width} bits")
+        set_field(self, "value", value)
+        set_field(self, "width", width)
+        set_key(self, (value, width))
 
     @classmethod
     def from_bits(cls, bits):
@@ -130,14 +131,15 @@ def all_labels(width, include_identity=False):
     return tuple(PauliLabel(v, width) for v in range(start, 1 << width))
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Record):
     """A power of i, stored as the exponent mod 4."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 4)
+    def __init__(self, k):
+        k %= 4
+        set_field(self, "k", k)
+        set_key(self, (k,))
 
     @property
     def value(self):
@@ -189,15 +191,11 @@ def weight_of(label):
 # dictionary (two-qubit operators only)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DictionaryEntry:
-    label: PauliLabel
-    q_index: int
-    o_index: int
-    tensor_text: str
-    gamma_text: str
-    color: str
-    note: str
+class DictionaryEntry(Record):
+    __slots__ = ("label", "q_index", "o_index", "tensor_text", "gamma_text", "color", "note")
+
+    def __init__(self, label, q_index, o_index, tensor_text, gamma_text, color, note):
+        freeze(self, label, q_index, o_index, tensor_text, gamma_text, color, note)
 
 
 def _data_text(name):
@@ -293,12 +291,14 @@ def o_index_of(label):
 # commutators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommutatorEntry:
-    """One cell of the commutator table: coefficient imag*i on O_result."""
+class CommutatorEntry(Record):
+    """One cell of the commutator table: coefficient imag*i on O_result
+    (a Fraction, and an O index or None)."""
 
-    imag: Fraction
-    result_o: int | None
+    __slots__ = ("imag", "result_o")
+
+    def __init__(self, imag, result_o):
+        freeze(self, imag, result_o)
 
     @property
     def is_zero(self):

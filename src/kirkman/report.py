@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record, set_field, set_key
 
 __all__ = ["CheckResult", "VerificationReport", "check_from_failures"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    details: tuple = ()
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name, passed, details=()):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "details", details)
+        set_key(self, (name, passed, details))
 
     def __str__(self):
         mark = "ok" if self.passed else "FAIL"
@@ -19,10 +22,13 @@ class CheckResult:
         return f"{mark:4s} {self.name}{suffix}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    subject: str
-    checks: tuple
+class VerificationReport(Record):
+    __slots__ = ("subject", "checks")
+
+    def __init__(self, subject, checks):
+        set_field(self, "subject", subject)
+        set_field(self, "checks", checks)
+        set_key(self, (subject, checks))
 
     @property
     def passed(self):

@@ -18,13 +18,13 @@ lexicographically least one and repeated runs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from . import pauli
 from .designs import Block, Point
 from .errors import DesignError, ResolutionError
+from .record import OrderedRecord, Record, freeze, set_field, set_key
 from .report import VerificationReport, check_from_failures as _check
 
 __all__ = [
@@ -46,15 +46,16 @@ _DAY_NAMES = {1: "MON", 2: "TU", 3: "WED", 4: "TH", 5: "FRI", 6: "SAT", 7: "SUN"
 _DAY_VALUES = {name: value for value, name in _DAY_NAMES.items()}
 
 
-@dataclass(frozen=True, order=True)
-class DayLabel:
+class DayLabel(OrderedRecord):
     """A nonzero 3-bit day label with its fixed weekday name."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not 1 <= self.value <= 7:
-            raise ResolutionError(f"day label must be a nonzero 3-bit word, got {self.value}")
+    def __init__(self, value):
+        if not 1 <= value <= 7:
+            raise ResolutionError(f"day label must be a nonzero 3-bit word, got {value}")
+        set_field(self, "value", value)
+        set_key(self, (value,))
 
     @classmethod
     def from_name(cls, name):
@@ -90,11 +91,14 @@ def all_days():
 DAY_DISPLAY_ORDER = tuple(DayLabel(v) for v in (7, 1, 2, 3, 4, 5, 6))
 
 
-@dataclass(frozen=True)
-class ParallelClass:
+class ParallelClass(Record):
     """One day's blocks, in display order (plane block first)."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        set_field(self, "blocks", blocks)
+        set_key(self, (blocks,))
 
     def __iter__(self):
         return iter(self.blocks)
@@ -103,12 +107,13 @@ class ParallelClass:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     """Classes keyed by day plus the day-to-plane-block matching."""
 
-    classes: dict
-    matching: dict
+    __slots__ = ("classes", "matching")
+
+    def __init__(self, classes, matching):
+        freeze(self, classes, matching)
 
 
 def _plane_blocks(design):

@@ -480,7 +480,8 @@ class TestCli:
 
 
 # runs each command in one fresh interpreter and reports, after the import
-# and after each command, its exit code and whether numpy is loaded
+# and after each command, its exit code and whether numpy is loaded, and
+# whether dataclasses is loaded
 _NUMPY_PROBE = """
 import contextlib, json, os, sys
 import kirkman.cli
@@ -498,21 +499,28 @@ steps = {
     "audio": ["render", resolved, "--kind", "audio", "--out", os.path.join(tmp, "w.wav")],
 }
 seen = {"import": ["kirkman.audio" in sys.modules, "numpy" in sys.modules]}
+dataclasses = {"import": "dataclasses" in sys.modules}
 with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
     for name, argv in steps.items():
         seen[name] = [kirkman.cli.main(argv), "numpy" in sys.modules]
-print(json.dumps(seen))
+        dataclasses[name] = "dataclasses" in sys.modules
+print(json.dumps({"numpy": seen, "dataclasses": dataclasses}))
 """
 
 
-def test_only_audio_commands_load_numpy(tmp_path):
+@pytest.fixture(scope="module")
+def start_up_probe(tmp_path_factory):
     src = os.path.dirname(os.path.dirname(kirkman.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path_factory.mktemp("probe"))],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(run.stdout) == {
+    return json.loads(run.stdout)
+
+
+def test_only_audio_commands_load_numpy(start_up_probe):
+    assert start_up_probe["numpy"] == {
         "import": [True, False],
         "generate": [0, False],
         "resolve": [0, False],
@@ -522,4 +530,19 @@ def test_only_audio_commands_load_numpy(tmp_path):
         "tables": [0, False],
         "dictionary": [0, False],
         "audio": [0, True],
+    }
+
+
+def test_start_up_and_non_audio_commands_load_no_dataclasses(start_up_probe):
+    seen = dict(start_up_probe["dataclasses"])
+    del seen["audio"]
+    assert seen == {
+        "import": False,
+        "generate": False,
+        "resolve": False,
+        "color-tiling": False,
+        "diagram": False,
+        "verify": False,
+        "tables": False,
+        "dictionary": False,
     }

@@ -1,6 +1,5 @@
 """Dense oracle fixtures and the exhaustive verifiers."""
 
-import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -8,6 +7,12 @@ import pytest
 
 from kirkman import designs, oracle, pauli
 from kirkman.errors import LabelError, OracleError
+
+
+def replace(design, **changes):
+    """A design with the given fields changed and the others kept."""
+    fields = {name: getattr(design, name) for name in inspect.signature(designs.Design).parameters}
+    return designs.Design(**{**fields, **changes})
 
 
 def normalized(op):
@@ -119,7 +124,7 @@ class TestVerifyDesign:
         assert oracle.verify_design(fano_design).passed
 
     def test_missing_block_is_caught(self, canonical_design):
-        broken = dataclasses.replace(canonical_design, blocks=canonical_design.blocks[:-1])
+        broken = replace(canonical_design, blocks=canonical_design.blocks[:-1])
         report = oracle.verify_design(broken)
         assert not report.passed
         text = report.text()
@@ -130,7 +135,7 @@ class TestVerifyDesign:
         p1 = designs.Point.from_bits("0001")
         p2 = designs.Point.from_bits("0010")
         assignment[p1], assignment[p2] = assignment[p2], assignment[p1]
-        broken = dataclasses.replace(canonical_design, assignment=assignment)
+        broken = replace(canonical_design, assignment=assignment)
         report = oracle.verify_design(broken)
         assert not report.passed
         assert any("XOR-linear" in c.name for c in report.checks if not c.passed)
@@ -139,7 +144,7 @@ class TestVerifyDesign:
         block = canonical_design.blocks[0]
         kinds = dict(canonical_design.kinds)
         kinds[block] = next(kind for kind in designs.BlockKind if kind != kinds[block])
-        report = oracle.verify_design(dataclasses.replace(canonical_design, kinds=kinds))
+        report = oracle.verify_design(replace(canonical_design, kinds=kinds))
         failing = [c for c in report.checks if not c.passed]
         assert [c.name for c in failing] == ["block classification"]
         assert any(str(block) in line for line in failing[0].details)
@@ -148,14 +153,14 @@ class TestVerifyDesign:
         kinds = dict(canonical_design.kinds)
         del kinds[canonical_design.blocks[4]]
         with pytest.raises(KeyError):
-            oracle.verify_design(dataclasses.replace(canonical_design, kinds=kinds))
+            oracle.verify_design(replace(canonical_design, kinds=kinds))
 
     def test_label_wider_than_the_first_raises(self, canonical_design):
         # the dense check reads every label at the first label's width
         assignment = dict(canonical_design.assignment)
         assignment[designs.Point.from_bits("0110")] = pauli.PauliLabel(0b100001, 6)
         with pytest.raises(LabelError, match="label value 33 does not fit in 4 bits"):
-            oracle.verify_design(dataclasses.replace(canonical_design, assignment=assignment))
+            oracle.verify_design(replace(canonical_design, assignment=assignment))
 
     @pytest.mark.parametrize("name", ["canonical_design", "fano_design"])
     def test_block_classification_ignores_the_label_algebra(self, name, request, monkeypatch):
@@ -176,26 +181,26 @@ def swap_two_labels(design):
     assignment = dict(design.assignment)
     p, q = designs.Point.from_bits("0001"), designs.Point.from_bits("0110")
     assignment[p], assignment[q] = assignment[q], assignment[p]
-    return dataclasses.replace(design, assignment=assignment)
+    return replace(design, assignment=assignment)
 
 
 def flip_one_kind(design):
     kinds = dict(design.kinds)
     block = design.blocks[5]
     kinds[block] = next(kind for kind in designs.BlockKind if kind != kinds[block])
-    return dataclasses.replace(design, kinds=kinds)
+    return replace(design, kinds=kinds)
 
 
 def duplicate_a_block(design):
     blocks = list(design.blocks)
     blocks[7] = blocks[3]
-    return dataclasses.replace(design, blocks=tuple(blocks))
+    return replace(design, blocks=tuple(blocks))
 
 
 def break_linearity(design):
     assignment = dict(design.assignment)
     assignment[designs.Point.from_bits("0011")] = pauli.q_label(5)
-    return dataclasses.replace(design, assignment=assignment)
+    return replace(design, assignment=assignment)
 
 
 TAMPERS = {
@@ -280,7 +285,7 @@ class TestTamperedReports:
         # the oracle reads kinds and labels by key, whatever the dicts' order
         for name, tamper in TAMPERS.items():
             design = tamper(canonical_design)
-            shuffled = dataclasses.replace(
+            shuffled = replace(
                 design,
                 assignment=dict(reversed(design.assignment.items())),
                 kinds=dict(reversed(design.kinds.items())),
