@@ -322,7 +322,9 @@ def write_wav(path, buffer, config=None):
     """Write a float buffer as linear PCM: 16-bit signed mono RIFF/WAVE."""
     config = config or SynthConfig()
     samples = _pcm16(buffer)
-    with wave.open(str(path), "wb") as out:
+    # open the file here: wave.open on a path it cannot create leaves a
+    # half-built writer whose finalizer prints a second error
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
         out.setnchannels(config.channels)
         out.setsampwidth(config.bit_depth // 8)
         out.setframerate(config.sample_rate)

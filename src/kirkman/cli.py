@@ -232,7 +232,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KirkmanError as exc:
+    except (KirkmanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

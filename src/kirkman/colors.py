@@ -13,6 +13,8 @@ input yields byte-identical files.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import designs, pauli
 from .errors import RenderError
 from .record import OrderedRecord, Record, freeze, set_field, set_key
@@ -106,6 +108,13 @@ def hex_of(color):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+@lru_cache(maxsize=32)
+def _paint(label):
+    """A label's color code and SVG fill."""
+    color = color_of(label)
+    return color.text, hex_of(color)
+
+
 def row_color_class(colors):
     """Judge a three-color row: 'B', 'G', 'R', 'colorless' or 'mixed'.
 
@@ -153,12 +162,10 @@ def _svg_open(width, height):
 
 
 def _tile_row(design, block, x, y, spec, parts):
+    rest = f'" y="{_f(y)}" width="{_f(spec.tile_width)}" height="{_f(spec.tile_height)}" fill="'
     for i, point in enumerate(designs.display_order(design, block)):
-        fill = hex_of(color_of(design.assignment[point]))
-        parts.append(
-            f'<rect class="tile" x="{_f(x + i * spec.tile_width)}" y="{_f(y)}" '
-            f'width="{_f(spec.tile_width)}" height="{_f(spec.tile_height)}" fill="{fill}"/>'
-        )
+        fill = _paint(design.assignment[point])[1]
+        parts.append(f'<rect class="tile" x="{_f(x + i * spec.tile_width)}{rest}{fill}"/>')
 
 
 def render_tiling(design, resolution=None, spec=None):
@@ -199,10 +206,9 @@ def render_tiling(design, resolution=None, spec=None):
 def _diagram_dots(design, placements, side, margin, parts, labels):
     for pl in placements:
         cx, cy = margin + pl.x * side, margin + pl.y * side
-        fill = hex_of(color_of(design.assignment[pl.point]))
+        code, fill = _paint(design.assignment[pl.point])
         parts.append(f'<circle class="pt" cx="{_f(cx)}" cy="{_f(cy)}" r="9.00" fill="{fill}" stroke="#222222"/>')
         if labels and pl.primary:
-            code = color_of(design.assignment[pl.point]).text
             parts.append(
                 f'<text x="{_f(cx + 11)}" y="{_f(cy - 6)}" font-family="monospace" font-size="11">'
                 f"{code} ({pl.point.bits})</text>"

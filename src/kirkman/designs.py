@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import pauli
 from .errors import DependentSeedsError, DesignError, RenderError, SeedError
-from .record import OrderedRecord, Record, freeze, set_field, set_key
+from .record import HashedRecord, Record, freeze, set_field, set_key
 
 __all__ = [
     "Point",
@@ -39,7 +39,7 @@ __all__ = [
 LAYOUTS = ("triangle", "cube", "tetrahedron")
 
 
-class Point(OrderedRecord):
+class Point(HashedRecord):
     """An m-bit design coordinate (never an operator label)."""
 
     __slots__ = ("value", "width")
@@ -52,6 +52,7 @@ class Point(OrderedRecord):
         set_field(self, "value", value)
         set_field(self, "width", width)
         set_key(self, (value, width))
+        set_field(self, "_hash", hash((value, width)))
 
     @classmethod
     def from_bits(cls, bits):
@@ -74,7 +75,7 @@ class Point(OrderedRecord):
         return f"({self.bits})"
 
 
-class Block(OrderedRecord):
+class Block(HashedRecord):
     """Three distinct points whose coordinates XOR to zero."""
 
     __slots__ = ("points",)
@@ -82,6 +83,7 @@ class Block(OrderedRecord):
     def __init__(self, points):
         set_field(self, "points", points)
         set_key(self, (points,))
+        set_field(self, "_hash", hash((points,)))
 
     @classmethod
     def of(cls, a, b, c):
@@ -254,6 +256,12 @@ def _tables(m):
     return _Tables(points, tuple(blocks), tuple(pairs), DesignParams.from_m(m), {})
 
 
+@lru_cache(maxsize=16)
+def _block_index(blocks):
+    """Each block's position in ``blocks``."""
+    return {block: i for i, block in enumerate(blocks)}
+
+
 def _kinds(tables, pattern):
     """A fresh kinds dict for the commutation pattern of ``tables.pairs``."""
     kinds = tables.kinds.get(pattern)
@@ -366,15 +374,6 @@ def _mean(positions):
     return (sum(xs) / len(xs), sum(ys) / len(ys))
 
 
-def _simplex_placements(design, vertices):
-    placements = []
-    for point in design.points:
-        chosen = [pos for bit, pos in vertices.items() if point.value & bit]
-        x, y = _mean(chosen)
-        placements.append(Placement(point, x, y, True))
-    return tuple(placements)
-
-
 def _cube_corner_position(value):
     # value is a 4-bit corner (1xyz): x to the right, y up, z into the page
     x = (value >> 2) & 1
@@ -385,9 +384,9 @@ def _cube_corner_position(value):
     return (px, py)
 
 
-def _cube_placements(design):
-    corners = [p for p in design.points if not p.in_plane]
-    inner = [p for p in design.points if p.in_plane]
+def _cube_placements(points):
+    corners = [p for p in points if not p.in_plane]
+    inner = [p for p in points if p.in_plane]
     placements = [Placement(c, *_cube_corner_position(c.value), True) for c in corners]
     base = 0b1000
     for point in inner:
@@ -415,12 +414,16 @@ def embed_coordinates(design, layout):
     """
     if layout not in LAYOUTS:
         raise RenderError(f"unknown layout {layout!r}; pick one of {', '.join(LAYOUTS)}")
-    if layout == "triangle":
-        if design.m != 3:
-            raise RenderError(f"triangle layout needs a size-3 design, got m={design.m}")
-        return _simplex_placements(design, _TRI_VERTICES)
-    if design.m != 4:
-        raise RenderError(f"{layout} layout needs a size-4 design, got m={design.m}")
-    if layout == "tetrahedron":
-        return _simplex_placements(design, _TETRA_VERTICES)
-    return _cube_placements(design)
+    size = 3 if layout == "triangle" else 4
+    if design.m != size:
+        raise RenderError(f"{layout} layout needs a size-{size} design, got m={design.m}")
+    return _placements(design.points, layout)
+
+
+@lru_cache(maxsize=16)
+def _placements(points, layout):
+    # placements depend on coordinates only, so designs sharing points share them
+    if layout == "cube":
+        return _cube_placements(points)
+    vertices = _TRI_VERTICES if layout == "triangle" else _TETRA_VERTICES
+    return tuple(Placement(p, *_mean([pos for bit, pos in vertices.items() if p.value & bit]), True) for p in points)

@@ -280,11 +280,17 @@ def dictionary(key):
 
 def o_label(o_index):
     """The label carrying the given O index (2..16)."""
-    return dictionary(f"O{o_index}").label
+    try:
+        return _dictionary_index()["o"][o_index].label
+    except KeyError:
+        raise LabelError(f"no dictionary entry for key 'O{o_index}'") from None
 
 
 def o_index_of(label):
-    return dictionary(label).o_index
+    try:
+        return _dictionary_index()["label"][label].o_index
+    except KeyError:
+        raise LabelError(f"no dictionary entry for key {label!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import pauli
-from .designs import Block, Point
+from .designs import Block, Point, _block_index
 from .errors import DesignError, ResolutionError
 from .record import OrderedRecord, Record, freeze, set_field, set_key
 from .report import VerificationReport, check_from_failures as _check
@@ -116,14 +116,10 @@ class Resolution(Record):
         freeze(self, classes, matching)
 
 
-def _plane_blocks(design):
-    if design.m == 4:
-        return tuple(b for b in design.blocks if all(p.in_plane for p in b.points))
-    return design.blocks
-
-
-def _day_point(design, day):
-    return Point(day.value, design.m)
+@lru_cache(maxsize=16)
+def _plane_lines(blocks):
+    """The blocks inside the leading-bit-zero plane: all of them below size 4."""
+    return tuple(b for b in blocks if all(p.in_plane for p in b.points))
 
 
 def _exact_covers(n_items, options):
@@ -153,20 +149,16 @@ def _exact_covers(n_items, options):
     return search(0)
 
 
-def _spread_covers(design):
-    """Every spread as an ascending tuple of block indices, in ascending order."""
-    return _spreads_of(design.blocks, len(design.points))
-
-
 @lru_cache(maxsize=16)
-def _spreads_of(blocks, n_points):
-    # spreads depend on coordinates only, so designs sharing a block tuple share them
-    options = [[] for _ in range(n_points)]
+def _spreads_of(blocks):
+    """Every spread of a size-4 block tuple as an ascending tuple of block
+    indices, in ascending order; designs sharing a block tuple share them."""
+    options = [[] for _ in range(15)]
     for index, block in enumerate(blocks):
         mask = sum(1 << (p.value - 1) for p in block.points)
         for p in block.points:
             options[p.value - 1].append((index, mask))
-    return tuple(_exact_covers(n_points, options))
+    return tuple(_exact_covers(15, options))
 
 
 def match_days(design):
@@ -180,24 +172,30 @@ def match_days(design):
     """
     if design.m not in (3, 4):
         raise ResolutionError(f"day matching needs a size-3 or size-4 design, got m={design.m}")
-    lines = _plane_blocks(design)
+    cover = _lex_matching(design.blocks, design.m)
+    if cover is None:
+        raise ResolutionError("no incidence-respecting day matching exists")
+    return dict(zip(all_days(), cover))
+
+
+@lru_cache(maxsize=16)
+def _lex_matching(blocks, m):
+    # the matching depends on coordinates only, so designs sharing a block tuple share it
+    lines = _plane_lines(blocks)
     days = all_days()
     # items: the days, then the lines
     options = [
-        [(line, 1 << d | 1 << (len(days) + i)) for i, line in enumerate(lines) if _day_point(design, day) in line]
+        [(line, 1 << d | 1 << (len(days) + i)) for i, line in enumerate(lines) if Point(day.value, m) in line]
         for d, day in enumerate(days)
     ] + [()] * len(lines)
-    cover = next(_exact_covers(len(options), options), None)
-    if cover is None:
-        raise ResolutionError("no incidence-respecting day matching exists")
-    return dict(zip(days, cover))
+    return next(_exact_covers(len(options), options), None)
 
 
 def _check_matching(design, matching):
     days = all_days()
     if set(matching) != set(days):
         raise ResolutionError("matching must assign exactly the seven days")
-    plane = set(_plane_blocks(design))
+    plane = set(_plane_lines(design.blocks))
     seen = set()
     for day in days:
         block = matching[day]
@@ -206,7 +204,7 @@ def _check_matching(design, matching):
         if block in seen:
             raise ResolutionError(f"block {block} matched to more than one day")
         seen.add(block)
-        if _day_point(design, day) not in block:
+        if Point(day.value, design.m) not in block:
             raise ResolutionError(f"{day}: matched block {block} misses the day's point")
 
 
@@ -230,23 +228,30 @@ def resolve(design, matching=None):
     _check_matching(design, matching)
 
     days = all_days()
-    blocks = design.blocks
-    lines = [blocks.index(matching[day]) for day in days]
+    index = _block_index(design.blocks)
+    week = _week_of(design.blocks, tuple(index[matching[day]] for day in days))
+    if week is None:
+        raise ResolutionError("matching admits no resolution; the design or matching is corrupted")
+    return Resolution(classes=dict(zip(days, week)), matching=dict(matching))
+
+
+@lru_cache(maxsize=32)
+def _week_of(blocks, lines):
+    # the week depends on coordinates only, so designs sharing a block tuple
+    # share it: the classes, plane block first, of the days matched to lines
     day_of_line = {line: d for d, line in enumerate(lines)}
     # items: the days, then the blocks; every spread holds exactly one plane
     # block, and the matching gives each plane block to one day
-    options = [[] for _ in days] + [()] * len(blocks)
-    for spread in _spread_covers(design):
+    options = [[] for _ in lines] + [()] * len(blocks)
+    for spread in _spreads_of(blocks):
         d = next(day_of_line[i] for i in spread if i in day_of_line)
-        options[d].append((spread, 1 << d | sum(1 << (len(days) + i) for i in spread)))
+        options[d].append((spread, 1 << d | sum(1 << (len(lines) + i) for i in spread)))
     week = next(_exact_covers(len(options), options), None)
     if week is None:
-        raise ResolutionError("matching admits no resolution; the design or matching is corrupted")
-    classes = {
-        day: ParallelClass((blocks[line], *(blocks[i] for i in spread if i != line)))
-        for day, line, spread in zip(days, lines, week)
-    }
-    return Resolution(classes=classes, matching=dict(matching))
+        return None
+    return tuple(
+        ParallelClass((blocks[line], *(blocks[i] for i in spread if i != line))) for line, spread in zip(lines, week)
+    )
 
 
 def validate_resolution(design, resolution):
@@ -288,11 +293,11 @@ def validate_resolution(design, resolution):
         match_bad.append("matching does not cover the seven days")
     if len(set(matched)) != len(matched):
         match_bad.append("matching reuses a block")
-    plane = set(_plane_blocks(design))
+    plane = set(_plane_lines(design.blocks))
     for day, block in resolution.matching.items():
         if block not in plane:
             match_bad.append(f"{day}: matched block is not a plane block")
-        elif _day_point(design, day) not in block:
+        elif Point(day.value, design.m) not in block:
             match_bad.append(f"{day}: matched block misses point ({day.bits})")
         if day in classes and block not in classes[day].blocks:
             match_bad.append(f"{day}: matched block absent from its class")
@@ -310,7 +315,7 @@ def enumerate_spreads(design):
     """
     if design.m != 4:
         raise ResolutionError(f"spread enumeration needs a size-4 design, got m={design.m}")
-    return tuple(ParallelClass(tuple(design.blocks[i] for i in spread)) for spread in _spread_covers(design))
+    return tuple(ParallelClass(tuple(design.blocks[i] for i in spread)) for spread in _spreads_of(design.blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 
 from . import pauli
-from .designs import enumerate_blocks, expand_seeds
+from .designs import _block_index, enumerate_blocks, expand_seeds
 from .errors import DocumentError, KirkmanError
 from .resolver import DAY_DISPLAY_ORDER, DayLabel, ParallelClass, Resolution, all_days, validate_resolution
 
@@ -35,20 +35,14 @@ def design_to_doc(design, resolution=None):
         "m": design.m,
         "seeds": [s.q_index for s in design.seeds],
         "points": [
-            {
-                "coord": p.bits,
-                "q": design.assignment[p].q_index,
-                "o": pauli.o_index_of(design.assignment[p]),
-                "color": pauli.dictionary(design.assignment[p]).color,
-                "note": pauli.dictionary(design.assignment[p]).note,
-            }
-            for p in design.points
+            {"coord": p.bits, "q": e.q_index, "o": e.o_index, "color": e.color, "note": e.note}
+            for p, e in zip(design.points, map(pauli.dictionary, design.assignment.values()))
         ],
         "blocks": [[p.bits for p in blk.points] for blk in design.blocks],
-        "kinds": [design.kinds[blk].value for blk in design.blocks],
+        "kinds": [kind.value for kind in design.kinds.values()],
     }
     if resolution is not None:
-        index_of = {blk: i for i, blk in enumerate(design.blocks)}
+        index_of = _block_index(design.blocks)
         doc["days"] = [
             {
                 "label": day.bits,

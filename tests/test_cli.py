@@ -346,6 +346,33 @@ class TestCli:
             serialize.load_document(design)[0]
         )
 
+    def test_missing_document_exit_one(self, tmp_path, capsys):
+        assert self.run("verify", str(tmp_path / "missing.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "missing.json" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--out"),
+            ("resolve", "{week}", "--out"),
+            ("render", "{week}", "--out"),
+            ("render", "{fano}", "--kind", "diagram", "--out"),
+            ("render", "{fano}", "--kind", "audio", "--out"),
+        ],
+    )
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, argv):
+        fano, week = tmp_path / "fano.json", tmp_path / "week.json"
+        self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(fano))
+        self.run("generate", "--out", str(week))
+        self.run("resolve", str(week), "--out", str(week))
+        capsys.readouterr()
+        out = tmp_path / "no" / "such" / "file"
+        argv = [arg.format(fano=fano, week=week) for arg in argv]
+        assert self.run(*argv, str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
     def test_dependent_seeds_exit_one(self, capsys):
         assert self.run("generate", "--seeds", "Q1,Q2,Q3") == 1
         assert "GF(2)-dependent" in capsys.readouterr().err

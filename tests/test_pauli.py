@@ -202,6 +202,17 @@ class TestCommutator:
         assert len(gen) == len(fix) == 225
         assert gen == fix
 
+    def test_table_makes_no_string_lookup(self, monkeypatch):
+        real, keys = pauli.dictionary, []
+
+        def recorded(key):
+            keys.append(key)
+            return real(key)
+
+        monkeypatch.setattr(pauli, "dictionary", recorded)
+        assert pauli.commutator_table() == pauli.fixture_commutator_table()
+        assert [key for key in keys if isinstance(key, str)] == []
+
     def test_seven_zeros_per_row(self):
         table = pauli.commutator_table()
         for oi in pauli.O_INDICES:

@@ -200,20 +200,29 @@ class TestSpreads:
             return real(n_items, options)
 
         monkeypatch.setattr(resolver, "_exact_covers", counted)
-        resolver._spreads_of.cache_clear()
+        for cache in (resolver._spreads_of, resolver._lex_matching, resolver._week_of):
+            cache.cache_clear()
         first = resolver.enumerate_spreads(canonical_design)
         assert searches == [15]
         other = designs.expand_seeds(tuple(pauli.PauliLabel(v, 4) for v in INDEPENDENT_4_TUPLES[-1]))
         assert spreads_text(resolver.enumerate_spreads(other)) == spreads_text(first)
         assert searches == [15]
         # resolve runs the matching and the week search, not the spread search
-        resolver.resolve(canonical_design)
+        mine = resolver.resolve(canonical_design)
         assert searches == [15, 14, 42]
+        # the matching and the week are shared by every design with these blocks
+        theirs = resolver.resolve(other)
+        assert searches == [15, 14, 42]
+        assert theirs == mine
+        # yet each result owns its dicts
+        mine.matching.clear()
+        mine.classes.popitem()
+        assert resolver.resolve(canonical_design) == theirs
 
     def test_packing_census(self, canonical_design):
         # a packing of PG(3,2) is a set of 7 spreads partitioning the 35 blocks
         options = [[] for _ in canonical_design.blocks]
-        for spread in resolver._spread_covers(canonical_design):
+        for spread in resolver._spreads_of(canonical_design.blocks):
             mask = sum(1 << i for i in spread)
             for i in spread:
                 options[i].append((spread, mask))
