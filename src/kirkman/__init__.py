@@ -10,7 +10,6 @@ label algebra behind it all.
 from .audio import (
     NoteLabel,
     Scale,
-    SynthConfig,
     WindowParams,
     build_cps_scale,
     chord_sequence,
@@ -19,7 +18,7 @@ from .audio import (
     synthesize,
     write_wav,
 )
-from .colors import ColorLabel, TilingSpec, color_of, render_diagram, render_tiling, row_color_class
+from .colors import ColorLabel, color_of, render_diagram, render_tiling, row_color_class
 from .designs import (
     Block,
     BlockKind,
@@ -126,7 +125,6 @@ __all__ = [
     "reference_resolution",
     # color
     "ColorLabel",
-    "TilingSpec",
     "color_of",
     "row_color_class",
     "render_tiling",
@@ -135,7 +133,6 @@ __all__ = [
     "NoteLabel",
     "Scale",
     "WindowParams",
-    "SynthConfig",
     "build_cps_scale",
     "note_of",
     "chord_sequence",

@@ -33,7 +33,6 @@ __all__ = [
     "NoteLabel",
     "Scale",
     "WindowParams",
-    "SynthConfig",
     "SlotSpectrum",
     "SpectralReport",
     "NOTE_ORDER",
@@ -43,22 +42,31 @@ __all__ = [
     "chord_sequence",
     "synthesize",
     "write_wav",
-    "scale_listing",
     "spectral_report",
 ]
 
 _LETTERS = "ABCDE"
 _SIGNATURES = ("flat", "natural", "sharp")
 _SIGNATURE_MARK = {"flat": "♭", "natural": "", "sharp": "♯"}
-_SIGNATURE_ASCII = {"flat": "b", "natural": "", "sharp": "#"}
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17)
+
+# primes at or above this are refused before the trial-division test,
+# whose time grows with the square root of the prime
+_PRIME_CAP = 1 << 32
 
 # largest buffer synthesize allocates: 2**25 float64 samples, 256 MiB
 _MAX_SAMPLES = 1 << 25
 
 # samples converted to 16 bits at a time: the float work block is 512 KiB
 _PCM_BLOCK = 1 << 16
+
+# the output format: 16-bit mono, each note at a third of full scale, and
+# a mix scaled down only where its peak passes 0.9 of full scale
+_SAMPLE_BYTES = 2
+_CHANNELS = 1
+_NOTE_AMPLITUDE = 1.0 / 3.0
+_PEAK_CEILING = 0.9
 
 
 class NoteLabel(Record):
@@ -88,10 +96,6 @@ class NoteLabel(Record):
     @property
     def text(self):
         return self.letter + _SIGNATURE_MARK[self.signature]
-
-    @property
-    def ascii_text(self):
-        return self.letter + _SIGNATURE_ASCII[self.signature]
 
     @property
     def rank(self):
@@ -132,9 +136,6 @@ class Scale(Record):
     def frequencies(self):
         return tuple(self.tonic * float(r) for r in self.ratios)
 
-    def frequency_of(self, note):
-        return self.frequencies[note.rank]
-
 
 def _is_prime(n):
     if n < 2:
@@ -152,6 +153,8 @@ def build_cps_scale(primes=DEFAULT_PRIMES, tonic=220.0):
     if len(primes) != 6 or len(set(primes)) != 6:
         raise SynthesisError(f"need 6 distinct primes, got {primes}")
     for p in primes:
+        if p >= _PRIME_CAP:
+            raise SynthesisError(f"prime {p} is not below the cap of 2**32")
         if not _is_prime(p) or p == 2:
             raise SynthesisError(f"{p} is not an odd prime (2 is reserved for the octave)")
     ratios = set()
@@ -203,6 +206,8 @@ class WindowParams(Record):
     def __init__(self, hop=0.8, sigma=0.12):
         if not (0 < hop < math.inf and 0 < sigma < math.inf):
             raise SynthesisError("hop and sigma must be positive and finite")
+        if sigma**2 == 0.0:
+            raise SynthesisError(f"sigma {sigma} s is too small: its square underflows to zero")
         # the window must fall below 1% of peak by the next-but-one onset;
         # the squared ratio goes to inf, not OverflowError, for a huge hop
         ratio = hop / sigma
@@ -214,84 +219,62 @@ class WindowParams(Record):
         freeze(self, hop, sigma)
 
 
-class SynthConfig(Record):
-    __slots__ = ("sample_rate", "bit_depth", "channels", "note_amplitude", "peak_ceiling")
-
-    def __init__(self, sample_rate=44100, bit_depth=16, channels=1, note_amplitude=1.0 / 3.0, peak_ceiling=0.9):
-        if sample_rate <= 0:
-            raise SynthesisError("sample rate must be positive")
-        if bit_depth != 16 or channels != 1:
-            raise SynthesisError("only 16-bit mono output is supported")
-        if not 0 < peak_ceiling < 1:
-            raise SynthesisError("peak ceiling must sit below full scale")
-        if note_amplitude <= 0:
-            raise SynthesisError("per-note amplitude must be positive")
-        freeze(self, sample_rate, bit_depth, channels, note_amplitude, peak_ceiling)
+def _check_rate(sample_rate):
+    if sample_rate <= 0:
+        raise SynthesisError("sample rate must be positive")
 
 
-def buffer_length(chord_count, window, config):
+def buffer_length(chord_count, window, sample_rate=44100):
     """Closed-form sample count: ceil((count*hop + 6*sigma) * rate).
 
     A count above ``_MAX_SAMPLES`` (an infinite one included) is rejected.
     """
-    samples = (chord_count * window.hop + 6.0 * window.sigma) * config.sample_rate
+    _check_rate(sample_rate)
+    samples = (chord_count * window.hop + 6.0 * window.sigma) * sample_rate
     if not samples <= _MAX_SAMPLES:
         count = math.ceil(samples) if math.isfinite(samples) else samples
         raise SynthesisError(f"{count} samples exceed the synthesis cap of {_MAX_SAMPLES}")
     return math.ceil(samples)
 
 
-def _note_degree(note, pitch_order):
-    """Index of the scale frequency a note sounds at."""
-    if pitch_order == "q":
-        return note.rank
-    if pitch_order == "o":
-        # alternative ordering by the coefficient index used in the
-        # commutator table: degree = o-index - 2
-        return pauli.dictionary(note.text).o_index - 2
-    raise SynthesisError(f"unknown pitch order {pitch_order!r}")
-
-
-def synthesize(chords, scale, window=None, config=None, pitch_order="q"):
+def synthesize(chords, scale, window=None, sample_rate=44100):
     """Render chords to a float64 sample buffer.
 
     Chord n is centered at t_n = n*hop + 3*sigma; each note contributes
     amp * exp(-(t - t_n)^2 / (2 sigma^2)) * sin(2 pi f t) over a window
     truncated at t_n +/- 3 sigma.  The buffer is scaled down only if its
-    peak exceeds the configured ceiling.  Parameters that would need more
+    peak exceeds ``_PEAK_CEILING``.  Parameters that would need more
     than ``_MAX_SAMPLES`` samples, or a scale reaching the Nyquist
     frequency, are rejected before anything is allocated.
     """
     import numpy as np
 
+    _check_rate(sample_rate)
     window = window or WindowParams()
-    config = config or SynthConfig()
     chords = [tuple(c) for c in chords]
     if not chords:
         raise SynthesisError("nothing to synthesize: no chords")
-    rate = config.sample_rate
-    total = buffer_length(len(chords), window, config)
+    total = buffer_length(len(chords), window, sample_rate)
     freqs = scale.frequencies
     top = max(freqs)
-    if not top < rate / 2:
-        raise SynthesisError(f"top note {top:.2f} Hz is not below the Nyquist frequency {rate / 2:g} Hz")
+    if not top < sample_rate / 2:
+        raise SynthesisError(f"top note {top:.2f} Hz is not below the Nyquist frequency {sample_rate / 2:g} Hz")
     buf = np.zeros(total, dtype=np.float64)
     half = 3.0 * window.sigma
     for n, chord in enumerate(chords):
         center = n * window.hop + 3.0 * window.sigma
-        lo = max(0, math.ceil((center - half) * rate))
-        hi = min(total - 1, math.floor((center + half) * rate))
+        lo = max(0, math.ceil((center - half) * sample_rate))
+        hi = min(total - 1, math.floor((center + half) * sample_rate))
         if lo > hi:
             continue
-        t = np.arange(lo, hi + 1, dtype=np.float64) / rate
-        envelope = config.note_amplitude * np.exp(-((t - center) ** 2) / (2.0 * window.sigma**2))
+        t = np.arange(lo, hi + 1, dtype=np.float64) / sample_rate
+        envelope = _NOTE_AMPLITUDE * np.exp(-((t - center) ** 2) / (2.0 * window.sigma**2))
         for note in chord:
-            freq = freqs[_note_degree(note, pitch_order)]
-            buf[lo : hi + 1] += envelope * np.sin(2.0 * math.pi * freq * t)
+            buf[lo : hi + 1] += envelope * np.sin(2.0 * math.pi * freqs[note.rank] * t)
     # the largest magnitude without an abs() copy of the buffer
     peak = float(max(buf.max(), -buf.min())) if total else 0.0
-    if peak > config.peak_ceiling:
-        buf *= config.peak_ceiling / peak
+    if peak > _PEAK_CEILING:
+        buf *= _PEAK_CEILING / peak
     return buf
 
 
@@ -318,25 +301,17 @@ def _pcm16(buffer):
     return samples
 
 
-def write_wav(path, buffer, config=None):
+def write_wav(path, buffer, sample_rate=44100):
     """Write a float buffer as linear PCM: 16-bit signed mono RIFF/WAVE."""
-    config = config or SynthConfig()
+    _check_rate(sample_rate)
     samples = _pcm16(buffer)
     # open the file here: wave.open on a path it cannot create leaves a
     # half-built writer whose finalizer prints a second error
     with open(path, "wb") as fh, wave.open(fh, "wb") as out:
-        out.setnchannels(config.channels)
-        out.setsampwidth(config.bit_depth // 8)
-        out.setframerate(config.sample_rate)
+        out.setnchannels(_CHANNELS)
+        out.setsampwidth(_SAMPLE_BYTES)
+        out.setframerate(sample_rate)
         out.writeframes(samples)
-
-
-def scale_listing(scale):
-    """Text listing of the scale: note, exact ratio, frequency in Hz."""
-    lines = []
-    for note, ratio, hz in zip(NOTE_ORDER, scale.ratios, scale.frequencies):
-        lines.append(f"{note.text:<3} {str(ratio):>7}  {hz:9.3f} Hz")
-    return "\n".join(lines) + "\n"
 
 
 class SlotSpectrum(Record):
@@ -424,7 +399,7 @@ def _fit_slots(buffer, nearest, offset, reach, freqs, rate, sigma):
     return amps, (energy - fitted) / np.maximum(energy, np.finfo(np.float64).tiny)
 
 
-def spectral_report(buffer, chords, scale, window=None, config=None, pitch_order="q"):
+def spectral_report(buffer, chords, scale, window=None, sample_rate=44100):
     """Check each chord slot by a least-squares fit onto the 15 scale tones.
 
     Each slot's segment is fitted by windowed sines and cosines at all 15
@@ -444,13 +419,12 @@ def spectral_report(buffer, chords, scale, window=None, config=None, pitch_order
     """
     import numpy as np
 
+    _check_rate(sample_rate)
     window = window or WindowParams()
-    config = config or SynthConfig()
     chords = [tuple(c) for c in chords]
     if not chords:
         raise SynthesisError("nothing to analyze: no chords")
-    rate = config.sample_rate
-    expected_len = buffer_length(len(chords), window, config)
+    expected_len = buffer_length(len(chords), window, sample_rate)
     if len(buffer) != expected_len:
         raise SynthesisError(
             f"buffer length {len(buffer)} does not match these parameters "
@@ -467,25 +441,25 @@ def spectral_report(buffer, chords, scale, window=None, config=None, pitch_order
     counts = np.zeros((len(chords), len(hz)))
     for n, chord in enumerate(chords):
         for note in chord:
-            counts[n, _note_degree(note, pitch_order)] += 1
+            counts[n, note.rank] += 1
 
     by_offset = {}
     for n in range(len(chords)):
-        centre = (n * window.hop + half) * rate
+        centre = (n * window.hop + half) * sample_rate
         nearest = round(centre)
         by_offset.setdefault(round(centre - nearest, 6), []).append((n, nearest))
     # strictly inside: float rounding decides whether synthesize reached a
     # sample on the window's very edge
-    reach = min(half, window.hop - half) * rate - 1e-6
+    reach = min(half, window.hop - half) * sample_rate - 1e-6
     amps = np.empty(counts.shape)
     residual = np.empty(len(chords))
     for offset, group in by_offset.items():
         index, nearest = zip(*group)
         amps[list(index)], residual[list(index)] = _fit_slots(
-            buffer, nearest, offset, reach, hz, rate, window.sigma
+            buffer, nearest, offset, reach, hz, sample_rate, window.sigma
         )
 
-    bin_hz = rate / round(6.0 * window.sigma * rate)
+    bin_hz = sample_rate / round(6.0 * window.sigma * sample_rate)
     slots = []
     for n, amp in enumerate(amps):
         in_chord = counts[n] > 0

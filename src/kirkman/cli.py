@@ -111,10 +111,9 @@ def _render_audio(design, resolution, args):
         raise KirkmanError("audio rendering needs --out for the WAVE file")
     scale = audio.build_cps_scale(_parse_primes(args.primes), args.tonic)
     window = audio.WindowParams(hop=args.hop, sigma=args.sigma)
-    config = audio.SynthConfig(sample_rate=args.sample_rate)
     chords = audio.chord_sequence(design, resolution)
-    buffer = audio.synthesize(chords, scale, window, config)
-    audio.write_wav(args.out, buffer, config)
+    buffer = audio.synthesize(chords, scale, window, args.sample_rate)
+    audio.write_wav(args.out, buffer, args.sample_rate)
     print(f"wrote {args.out}: {len(chords)} chords, {len(buffer)} samples")
     return 0
 

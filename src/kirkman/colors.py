@@ -17,13 +17,12 @@ from functools import lru_cache
 
 from . import designs, pauli
 from .errors import RenderError
-from .record import OrderedRecord, Record, freeze, set_field, set_key
+from .record import OrderedRecord, Record, set_field, set_key
 from .resolver import DAY_DISPLAY_ORDER
 
 __all__ = [
     "ColorLabel",
     "HsvColor",
-    "TilingSpec",
     "CHROMA_HUE",
     "FLAVOR_SV",
     "color_of",
@@ -141,13 +140,13 @@ def row_color_class(colors):
 # SVG generation
 # ---------------------------------------------------------------------------
 
-class TilingSpec(Record):
-    """Tile geometry in user units plus grouping gaps."""
-
-    __slots__ = ("tile_width", "tile_height", "row_gap", "group_gap", "margin", "labels")
-
-    def __init__(self, tile_width=42.0, tile_height=42.0, row_gap=6.0, group_gap=26.0, margin=12.0, labels=True):
-        freeze(self, tile_width, tile_height, row_gap, group_gap, margin, labels)
+# tiling geometry in user units: square tiles, the gaps between rows and
+# between day groups, the outer margin and the day-label column
+_TILE = 42.0
+_ROW_GAP = 6.0
+_GROUP_GAP = 26.0
+_MARGIN = 12.0
+_LABEL_WIDTH = 70.0
 
 
 def _f(value):
@@ -161,14 +160,14 @@ def _svg_open(width, height):
     ]
 
 
-def _tile_row(design, block, x, y, spec, parts):
-    rest = f'" y="{_f(y)}" width="{_f(spec.tile_width)}" height="{_f(spec.tile_height)}" fill="'
+def _tile_row(design, block, y, parts):
+    rest = f'" y="{_f(y)}" width="{_f(_TILE)}" height="{_f(_TILE)}" fill="'
     for i, point in enumerate(designs.display_order(design, block)):
         fill = _paint(design.assignment[point])[1]
-        parts.append(f'<rect class="tile" x="{_f(x + i * spec.tile_width)}{rest}{fill}"/>')
+        parts.append(f'<rect class="tile" x="{_f(_MARGIN + _LABEL_WIDTH + i * _TILE)}{rest}{fill}"/>')
 
 
-def render_tiling(design, resolution=None, spec=None):
+def render_tiling(design, resolution=None):
     """Color tiling as an SVG string.
 
     Without a resolution every block becomes one three-tile row (seven
@@ -177,38 +176,34 @@ def render_tiling(design, resolution=None, spec=None):
     """
     if design.seeds[0].width != 4:
         raise RenderError("color rendering needs two-qubit operators")
-    spec = spec or TilingSpec()
     parts = []
-    y = spec.margin
-    row_h = spec.tile_height + spec.row_gap
-    width = 2 * spec.margin + 3 * spec.tile_width + (70.0 if spec.labels else 0.0)
-    x = spec.margin + (70.0 if spec.labels else 0.0)
+    y = _MARGIN
     if resolution is None:
         for block in design.blocks:
-            _tile_row(design, block, x, y, spec, parts)
-            y += row_h
+            _tile_row(design, block, y, parts)
+            y += _TILE + _ROW_GAP
     else:
         for day in DAY_DISPLAY_ORDER:
-            if spec.labels:
-                parts.append(
-                    f'<text x="{_f(spec.margin)}" y="{_f(y + 0.62 * spec.tile_height)}" '
-                    f'font-family="monospace" font-size="14">{day.name} {day.bits}</text>'
-                )
+            parts.append(
+                f'<text x="{_f(_MARGIN)}" y="{_f(y + 0.62 * _TILE)}" '
+                f'font-family="monospace" font-size="14">{day.name} {day.bits}</text>'
+            )
             for block in resolution.classes[day]:
-                _tile_row(design, block, x, y, spec, parts)
-                y += row_h
-            y += spec.group_gap
-        y -= spec.group_gap
-    height = y - spec.row_gap + spec.margin
+                _tile_row(design, block, y, parts)
+                y += _TILE + _ROW_GAP
+            y += _GROUP_GAP
+        y -= _GROUP_GAP
+    width = 2 * _MARGIN + 3 * _TILE + _LABEL_WIDTH
+    height = y - _ROW_GAP + _MARGIN
     return "\n".join(_svg_open(width, height) + parts + ["</svg>"]) + "\n"
 
 
-def _diagram_dots(design, placements, side, margin, parts, labels):
+def _diagram_dots(design, placements, side, margin, parts):
     for pl in placements:
         cx, cy = margin + pl.x * side, margin + pl.y * side
         code, fill = _paint(design.assignment[pl.point])
         parts.append(f'<circle class="pt" cx="{_f(cx)}" cy="{_f(cy)}" r="9.00" fill="{fill}" stroke="#222222"/>')
-        if labels and pl.primary:
+        if pl.primary:
             parts.append(
                 f'<text x="{_f(cx + 11)}" y="{_f(cy - 6)}" font-family="monospace" font-size="11">'
                 f"{code} ({pl.point.bits})</text>"
@@ -222,7 +217,7 @@ def _line(parts, a, b, side, margin):
     )
 
 
-def render_diagram(design, layout=None, labels=True):
+def render_diagram(design, layout=None):
     """Geometric point diagram (triangle, cube or tetrahedron) as SVG."""
     if design.seeds[0].width != 4:
         raise RenderError("color rendering needs two-qubit operators")
@@ -261,6 +256,6 @@ def render_diagram(design, layout=None, labels=True):
             for b in vertices[i + 1:]:
                 _line(parts, pos[a], pos[b], side, margin)
 
-    _diagram_dots(design, placements, side, margin, parts, labels)
+    _diagram_dots(design, placements, side, margin, parts)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

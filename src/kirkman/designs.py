@@ -122,13 +122,6 @@ class DesignParams(Record):
         k = 1 if m == 1 else 3
         return cls(v=v, b=v * (v - 1) // 6, r=(v - 1) // 2, k=k, lam=1)
 
-    @classmethod
-    def from_v(cls, v):
-        m = v.bit_length()
-        if v <= 0 or v != (1 << m) - 1:
-            raise DesignError(f"v={v} is not of the form 2^m - 1; this engine cannot construct it")
-        return cls.from_m(m)
-
 
 class Design(Record):
     """A fully expanded design; treat all members as immutable.
@@ -148,18 +141,6 @@ class Design(Record):
         set_field(self, "kinds", kinds)
         set_field(self, "params", params)
         set_key(self, (m, seeds, points, assignment, blocks, kinds, params))
-
-    def label_at(self, point):
-        try:
-            return self.assignment[point]
-        except KeyError:
-            raise DesignError(f"{point} is not a point of this design") from None
-
-    def point_of(self, label):
-        for point, assigned in self.assignment.items():
-            if assigned == label:
-                return point
-        raise DesignError(f"{label} is not assigned in this design")
 
     def describe(self):
         p = self.params

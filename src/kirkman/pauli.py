@@ -225,15 +225,6 @@ def dictionary_entries():
     return tuple(rows)
 
 
-_NOTE_ASCII = {"b": "♭", "#": "♯"}
-
-
-def _normalize_note(text):
-    if len(text) == 2 and text[1] in _NOTE_ASCII:
-        return text[0] + _NOTE_ASCII[text[1]]
-    return text
-
-
 @lru_cache(maxsize=None)
 def _dictionary_index():
     by = {"q": {}, "o": {}, "color": {}, "note": {}, "label": {}}
@@ -242,6 +233,7 @@ def _dictionary_index():
         by["o"][e.o_index] = e
         by["color"][e.color] = e
         by["note"][e.note] = e
+        by["note"][e.note.replace("♭", "b").replace("♯", "#")] = e
         by["label"][e.label] = e
     return by
 
@@ -270,7 +262,7 @@ def dictionary(key):
         elif re.fullmatch(r"\[?[01]{4}\]?", text):
             entry = index["label"].get(PauliLabel.from_bits(text))
         else:
-            entry = index["note"].get(_normalize_note(text))
+            entry = index["note"].get(text)
     else:
         raise LabelError(f"unsupported dictionary key type: {type(key).__name__}")
     if entry is None:

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _DAY_NAMES = {1: "MON", 2: "TU", 3: "WED", 4: "TH", 5: "FRI", 6: "SAT", 7: "SUN"}
-_DAY_VALUES = {name: value for value, name in _DAY_NAMES.items()}
 
 
 class DayLabel(OrderedRecord):
@@ -56,13 +55,6 @@ class DayLabel(OrderedRecord):
             raise ResolutionError(f"day label must be a nonzero 3-bit word, got {value}")
         set_field(self, "value", value)
         set_key(self, (value,))
-
-    @classmethod
-    def from_name(cls, name):
-        try:
-            return cls(_DAY_VALUES[name.upper()])
-        except KeyError:
-            raise ResolutionError(f"unknown day name {name!r}") from None
 
     @classmethod
     def from_bits(cls, bits):

@@ -170,7 +170,7 @@ def load_document(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentError(f"{path} is not well-formed: {exc}") from exc
     _require(isinstance(doc, dict), "document root must be an object")
     _require(doc.get("format") == FORMAT, f"unrecognized format {doc.get('format')!r}")

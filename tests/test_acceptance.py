@@ -189,17 +189,17 @@ def test_10_scale_ratios():
 
 def test_11_audio_rendering_and_spectra(canonical_design, lex_resolution):
     window = audio.WindowParams()
-    config = audio.SynthConfig()
+    rate = 44100
     scale = audio.build_cps_scale()
     chords = audio.chord_sequence(canonical_design, lex_resolution)
     assert len(chords) == 35
     start = time.perf_counter()
-    buffer = audio.synthesize(chords, scale, window, config)
-    report = audio.spectral_report(buffer, chords, scale, window, config)
+    buffer = audio.synthesize(chords, scale, window, rate)
+    report = audio.spectral_report(buffer, chords, scale, window, rate)
     elapsed = time.perf_counter() - start
-    closed_form = audio.buffer_length(35, window, config)
+    closed_form = audio.buffer_length(35, window, rate)
     assert len(buffer) == closed_form
-    assert abs(len(buffer) - (35 * window.hop + 6.0 * window.sigma) * config.sample_rate) <= 1
+    assert abs(len(buffer) - (35 * window.hop + 6.0 * window.sigma) * rate) <= 1
     assert len(report.slots) == 35
     assert report.passed, report.text()
     for slot in report.slots:

@@ -500,6 +500,39 @@ class TestCli:
         assert err.startswith("error: ") and "Nyquist" in err
         assert not wav.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"[" * 100000, "recursion"), (b"\xff{}", "can't decode byte 0xff")],
+        ids=["nested", "not-utf8"],
+    )
+    def test_malformed_document_file_exit_one(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        for argv in (("verify",), ("resolve",), ("render", "--out", str(tmp_path / "bad.svg"))):
+            assert self.run(argv[0], str(path), *argv[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: {path} is not well-formed: ") and message in captured.err
+        assert not (tmp_path / "bad.svg").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--primes", f"3,5,7,11,13,{10**18 + 3}"), "is not below the cap of 2**32"),
+            (("--sigma", "1e-170"), "its square underflows to zero"),
+        ],
+        ids=["huge-prime", "tiny-sigma"],
+    )
+    def test_audio_bad_scale_or_window_exit_one(self, tmp_path, capsys, flags, message):
+        design = tmp_path / "fano.json"
+        wav = tmp_path / "bad.wav"
+        self.run("generate", "--seeds", "Q10,Q4,Q11", "--out", str(design))
+        capsys.readouterr()
+        assert self.run("render", str(design), "--kind", "audio", *flags, "--out", str(wav)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not wav.exists()
+
     def test_seed_echo_matches_dictionary(self, capsys):
         # default seeds are the worked example of the operator dictionary
         assert cli.DEFAULT_SEEDS == "Q12,Q10,Q4,Q11"

@@ -40,15 +40,6 @@ class TestParams:
         assert designs.DesignParams.from_m(3) == designs.DesignParams(7, 7, 3, 3, 1)
         assert designs.DesignParams.from_m(4) == designs.DesignParams(15, 35, 7, 3, 1)
 
-    def test_from_v(self):
-        assert designs.DesignParams.from_v(15) == designs.DesignParams.from_m(4)
-        assert designs.DesignParams.from_v(7) == designs.DesignParams.from_m(3)
-
-    def test_from_v_rejects_other_sizes(self):
-        for v in (9, 6, 13, 0):
-            with pytest.raises(DesignError):
-                designs.DesignParams.from_v(v)
-
 
 class TestSeedValidation:
     def test_dependent_triple(self):
@@ -172,14 +163,6 @@ class TestExpansion:
         monkeypatch.setattr(pauli, "commutes", lambda x, y: real(x, y) and {x.value, y.value} != odd)
         with pytest.raises(DesignError, match="neither commuting nor cyclic"):
             designs.expand_seeds(seeds)
-
-    def test_label_at_and_point_of(self, canonical_design):
-        p = designs.Point.from_bits("0111")
-        label = canonical_design.label_at(p)
-        assert label.q_index == 5
-        assert canonical_design.point_of(label) == p
-        with pytest.raises(DesignError):
-            canonical_design.label_at(designs.Point.from_bits("001"))
 
 
 class TestBlocks:

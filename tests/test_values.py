@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kirkman import audio, colors, designs, oracle, pauli, report, resolver
+from kirkman import audio, colors, designs, oracle, pauli, record, report, resolver
 from kirkman.errors import DesignError, LabelError, RenderError, ResolutionError, SynthesisError
 
 P, L = designs.Point, pauli.PauliLabel
@@ -111,12 +111,6 @@ CASES = {
         "HsvColor(hue=0.0, saturation=1.0, value=0.55)",
         lambda: colors.HsvColor(0.0, 1.0, 0.7),
     ),
-    "TilingSpec": (
-        colors.TilingSpec,
-        ("tile_width", "tile_height", "row_gap", "group_gap", "margin", "labels"),
-        "TilingSpec(tile_width=42.0, tile_height=42.0, row_gap=6.0, group_gap=26.0, margin=12.0, labels=True)",
-        lambda: colors.TilingSpec(labels=False),
-    ),
     "NoteLabel": (
         lambda: audio.NoteLabel("A", "flat"),
         ("letter", "signature"),
@@ -137,13 +131,6 @@ CASES = {
         ("hop", "sigma"),
         "WindowParams(hop=0.8, sigma=0.12)",
         lambda: audio.WindowParams(hop=1.0),
-    ),
-    "SynthConfig": (
-        audio.SynthConfig,
-        ("sample_rate", "bit_depth", "channels", "note_amplitude", "peak_ceiling"),
-        "SynthConfig(sample_rate=44100, bit_depth=16, channels=1, note_amplitude=0.3333333333333333, "
-        "peak_ceiling=0.9)",
-        lambda: audio.SynthConfig(sample_rate=8000),
     ),
     "SlotSpectrum": (
         lambda: SLOT,
@@ -186,8 +173,16 @@ def _fields(x, names):
     return tuple(getattr(x, n) for n in names)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_value_class_is_covered():
-    assert len(CASES) == 25
+    bases = {record.OrderedRecord, record.HashedRecord}
+    classes = {c.__name__ for c in _subclasses(record.Record) if c not in bases}
+    assert classes == set(CASES) and len(CASES) == 23
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -288,10 +283,12 @@ def test_phase_normalizes_its_exponent():
 
 def test_defaults():
     assert inspect.signature(audio.WindowParams).parameters["hop"].default == 0.8
-    w, c, t = audio.WindowParams(), audio.SynthConfig(), colors.TilingSpec()
+    w = audio.WindowParams()
     assert (w.hop, w.sigma) == (0.8, 0.12)
-    assert (c.sample_rate, c.bit_depth, c.channels, c.note_amplitude, c.peak_ceiling) == (44100, 16, 1, 1.0 / 3.0, 0.9)
-    assert (t.tile_width, t.tile_height, t.row_gap, t.group_gap, t.margin, t.labels) == (42.0, 42.0, 6.0, 26.0, 12.0, True)
+    for f in (audio.buffer_length, audio.synthesize, audio.write_wav, audio.spectral_report):
+        assert inspect.signature(f).parameters["sample_rate"].default == 44100
+    assert (audio._NOTE_AMPLITUDE, audio._PEAK_CEILING) == (1.0 / 3.0, 0.9)
+    assert (colors._TILE, colors._ROW_GAP, colors._GROUP_GAP, colors._MARGIN) == (42.0, 6.0, 26.0, 12.0)
     assert designs.Placement(P(1, 2), 0.0, 1.0).primary is True
     assert report.CheckResult("c", False).details == ()
 
@@ -320,15 +317,16 @@ def test_defaults():
         ),
         (lambda: audio.WindowParams(hop=0.0), SynthesisError, "hop and sigma must be positive and finite"),
         (
+            lambda: audio.WindowParams(sigma=1e-170),
+            SynthesisError,
+            "sigma 1e-170 s is too small: its square underflows to zero",
+        ),
+        (
             lambda: audio.WindowParams(hop=0.1),
             SynthesisError,
             "hop 0.1 s is too short for sigma 0.12 s; chord onsets would not be separable",
         ),
-        (lambda: audio.SynthConfig(sample_rate=0), SynthesisError, "sample rate must be positive"),
-        (lambda: audio.SynthConfig(bit_depth=8), SynthesisError, "only 16-bit mono output is supported"),
-        (lambda: audio.SynthConfig(channels=2), SynthesisError, "only 16-bit mono output is supported"),
-        (lambda: audio.SynthConfig(peak_ceiling=1.0), SynthesisError, "peak ceiling must sit below full scale"),
-        (lambda: audio.SynthConfig(note_amplitude=0.0), SynthesisError, "per-note amplitude must be positive"),
+        (lambda: audio.buffer_length(1, audio.WindowParams(), 0), SynthesisError, "sample rate must be positive"),
         (
             lambda: designs.Block.of(P(1, 3), P(1, 3), P(2, 3)),
             DesignError,
